@@ -251,6 +251,93 @@ let test_golden_client_lattice () =
         [ "licm"; "slf"; "dse" ])
     Workloads.Suite.all
 
+(* --- optimized-IR digests ---------------------------------------------- *)
+
+(* Byte-identity guard for the optimizer's output: the MD5 of the
+   optimized program's [Cfg.pp_program] text, pinned per workload and
+   analysis with every client on (devirt+inline, LICM, PRE, SLF, RLE,
+   copyprop, DSE, then the harness's local CSE), plus one small scale
+   program. Refactors of the clients must leave every digest unchanged;
+   the [--jobs 2] runs must reproduce the sequential digests exactly. *)
+
+let all_clients kind =
+  { Harness.Runner.rle = Some kind;
+    minv = true;
+    world = Tbaa.World.Closed;
+    pre = true;
+    copyprop = true;
+    licm = true;
+    slf = true;
+    dse = true;
+    oracle = None }
+
+let ir_digest program =
+  Digest.to_hex
+    (Digest.string (Format.asprintf "%a" Ir.Cfg.pp_program program))
+
+let optimize_digest ~jobs program pc =
+  let pc = { pc with Opt.Pipeline.jobs } in
+  let ctx = Opt.Pipeline.context_of_config pc in
+  ignore
+    (Opt.Pass_manager.run ctx program
+       (Opt.Pipeline.schedule_of_config ~local_cse:true pc));
+  ir_digest program
+
+let workload_digest ~jobs (w : Workloads.Workload.t) (kname, kind) =
+  let pc = Harness.Runner.pipeline_config (all_clients kind) in
+  Printf.sprintf "%s/%s: %s" w.Workloads.Workload.name kname
+    (optimize_digest ~jobs (Workloads.Workload.lower w) pc)
+
+let scale_digest ~jobs =
+  let pc = Harness.Runner.pipeline_config (all_clients Opt.Pipeline.Osm_field_type_refs) in
+  Printf.sprintf "scale6/SMFieldTypeRefs: %s"
+    (optimize_digest ~jobs (Ir.Lower.lower_string ~file:"scale6" (Gen.Scale.source 6)) pc)
+
+let expected_digests =
+  [ "format/TypeDecl: 88ad6e5d2af039bef97cd72f91f1462d";
+    "format/FieldTypeDecl: a27be612065ebc352db9def1e43bf2f9";
+    "format/SMFieldTypeRefs: a27be612065ebc352db9def1e43bf2f9";
+    "dformat/TypeDecl: 34115ccedb770a71f10de23dc52e4b07";
+    "dformat/FieldTypeDecl: 34115ccedb770a71f10de23dc52e4b07";
+    "dformat/SMFieldTypeRefs: 34115ccedb770a71f10de23dc52e4b07";
+    "write_pickle/TypeDecl: c1074eaf2d60b1f89ac621a03d5e3b3b";
+    "write_pickle/FieldTypeDecl: 97af2b2802f4fe88a31a5b136b315283";
+    "write_pickle/SMFieldTypeRefs: 97af2b2802f4fe88a31a5b136b315283";
+    "ktree/TypeDecl: dc2e58fecbe8845c778cc3a1f3a34ee9";
+    "ktree/FieldTypeDecl: dc2e58fecbe8845c778cc3a1f3a34ee9";
+    "ktree/SMFieldTypeRefs: dc2e58fecbe8845c778cc3a1f3a34ee9";
+    "slisp/TypeDecl: 3356de1fa3513be0e541375af2788129";
+    "slisp/FieldTypeDecl: ac3992cd02cd5a838baec3d2a86247b3";
+    "slisp/SMFieldTypeRefs: ac3992cd02cd5a838baec3d2a86247b3";
+    "pp/TypeDecl: 8a360e1c82e19c5271511284e8b9f12b";
+    "pp/FieldTypeDecl: 5f847ff2a9a10615bb8cbfadc272684f";
+    "pp/SMFieldTypeRefs: 5f847ff2a9a10615bb8cbfadc272684f";
+    "dom/TypeDecl: c78120359ecdcf0fe5aca35f7639a749";
+    "dom/FieldTypeDecl: a0df89ba913ce40440eb084381043f94";
+    "dom/SMFieldTypeRefs: a0df89ba913ce40440eb084381043f94";
+    "postcard/TypeDecl: 6e3496d3c3cf4277e77de723b7d46aa1";
+    "postcard/FieldTypeDecl: 0aced651348bbc7c3b2af9d67e158294";
+    "postcard/SMFieldTypeRefs: 0aced651348bbc7c3b2af9d67e158294";
+    "m2tom3/TypeDecl: b3944ab378a0b22e21d54875d3ebe246";
+    "m2tom3/FieldTypeDecl: b3944ab378a0b22e21d54875d3ebe246";
+    "m2tom3/SMFieldTypeRefs: b3944ab378a0b22e21d54875d3ebe246";
+    "m3cg/TypeDecl: 5c611f443c31eeb0a9c8460695475810";
+    "m3cg/FieldTypeDecl: 5b1123b6798f61ea77cf481d628eb89d";
+    "m3cg/SMFieldTypeRefs: 5b1123b6798f61ea77cf481d628eb89d";
+    "scale6/SMFieldTypeRefs: 19aeeecf7bf12bb060242555da7645be" ]
+
+let actual_digests ~jobs =
+  List.concat_map
+    (fun w -> List.map (workload_digest ~jobs w) kinds)
+    Workloads.Suite.all
+  @ [ scale_digest ~jobs ]
+
+let test_ir_digests () =
+  check_rows ~expected:expected_digests ~actual:(actual_digests ~jobs:1)
+
+let test_ir_digests_parallel () =
+  check_rows ~expected:expected_digests ~actual:(actual_digests ~jobs:2)
+
 let () =
   Alcotest.run "golden"
     [ ( "stats",
@@ -262,4 +349,8 @@ let () =
         [ Alcotest.test_case "client suite optimization counts" `Quick
             test_golden_client_stats;
           Alcotest.test_case "client precision lattice" `Quick
-            test_golden_client_lattice ] ) ]
+            test_golden_client_lattice ] );
+      ( "ir",
+        [ Alcotest.test_case "optimized IR digests" `Quick test_ir_digests;
+          Alcotest.test_case "optimized IR digests at --jobs 2" `Quick
+            test_ir_digests_parallel ] ) ]
