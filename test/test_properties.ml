@@ -318,6 +318,61 @@ let test_validator_catches_corruption () =
              (Support.Ident.name proc.Cfg.pr_name))
          errs)
 
+(* The validator's messages are part of its interface (guarded runs echo
+   them in failure reports): pin the exact [ve_instr]/[ve_msg] text for
+   one procedure broken at the terminator level and one broken at the
+   instruction level (type mismatches, an out-of-range id, a bad path, an
+   undefined callee, and temps read before any assignment, both in an
+   instruction and in a terminator). *)
+let expected_validator_messages =
+  [ "B0|jump B9999|terminator targets out-of-range block B9999";
+    "B0|vt_int#48 := true|assign of BOOLEAN into vt_int#48 : INTEGER";
+    "B0|vt_far#999999 := 1|variable vt_far#999999 has id 999999 outside [0, 51)";
+    "B0|vt_int#48 := load vt_int#48^|path vt_int#48^: deref applied to non-REF INTEGER";
+    "B0|call nowhere()|call to undefined procedure nowhere";
+    "B0|vt_int#48 := vt_unset#49 + vt_flag#50|temp vt_unset#49 read before any assignment";
+    "B0|vt_int#48 := vt_unset#49 + vt_flag#50|temp vt_flag#50 read before any assignment";
+    "B0|branch vt_flag#50 ? B0 : B0|temp vt_flag#50 read before any assignment" ]
+
+let test_validator_messages_pinned () =
+  let fresh_temp program name ty =
+    let v =
+      { Reg.v_id = program.Cfg.next_var_id; v_name = Support.Ident.intern name;
+        v_ty = ty; v_kind = Reg.Vtemp }
+    in
+    program.Cfg.next_var_id <- program.Cfg.next_var_id + 1;
+    v
+  in
+  let p1 = lower 42 in
+  let proc1 = List.hd p1.Cfg.prog_procs in
+  (Cfg.block proc1 proc1.Cfg.pr_entry).Cfg.b_term <- Instr.Tjump 9999;
+  let p2 = lower 43 in
+  let proc2 = List.hd p2.Cfg.prog_procs in
+  let t_int = fresh_temp p2 "vt_int" Minim3.Types.tid_int in
+  let t_unset = fresh_temp p2 "vt_unset" Minim3.Types.tid_int in
+  let t_flag = fresh_temp p2 "vt_flag" Minim3.Types.tid_bool in
+  let far = { t_int with Reg.v_id = 999_999; v_name = Support.Ident.intern "vt_far" } in
+  let entry = Cfg.block proc2 proc2.Cfg.pr_entry in
+  entry.Cfg.b_instrs <-
+    [ Instr.Iassign (t_int, Instr.Ratom (Reg.Abool true));
+      Instr.Iassign (far, Instr.Ratom (Reg.Aint 1));
+      Instr.Iload (t_int, Apath.make t_int [ Apath.Sderef Minim3.Types.tid_int ]);
+      Instr.Icall (None, Instr.Cdirect (Support.Ident.intern "nowhere"), []);
+      Instr.Iassign
+        (t_int, Instr.Rbinop (Minim3.Ast.Add, Reg.Avar t_unset, Reg.Avar t_flag)) ]
+    @ entry.Cfg.b_instrs;
+  let last = Cfg.block proc2 (Cfg.n_blocks proc2 - 1) in
+  (match last.Cfg.b_term with
+  | Instr.Treturn _ -> last.Cfg.b_term <- Instr.Tbranch (Reg.Avar t_flag, 0, 0)
+  | _ -> ());
+  let render (e : Verify.error) =
+    Printf.sprintf "B%d|%s|%s" e.Verify.ve_block
+      (Option.value e.Verify.ve_instr ~default:"-")
+      e.Verify.ve_msg
+  in
+  let actual = List.map render (Verify.program p1 @ Verify.program p2) in
+  Alcotest.(check (list string)) "validator messages" expected_validator_messages actual
+
 let test_guarded_quarantines_crash () =
   let program = lower 43 in
   let before = Format.asprintf "%a" Cfg.pp_program program in
@@ -415,6 +470,8 @@ let () =
           QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_fault_injection_caught;
           Alcotest.test_case "validator catches a corrupted CFG" `Quick
             test_validator_catches_corruption;
+          Alcotest.test_case "validator messages are pinned" `Quick
+            test_validator_messages_pinned;
           Alcotest.test_case "guarded run quarantines a crashing pass" `Quick
             test_guarded_quarantines_crash;
           Alcotest.test_case "guarded run rolls back invalid IR" `Quick
