@@ -9,14 +9,17 @@ test:
 	dune runtest
 
 # The CI gate: everything compiles (including tests and benches), the test
-# suite passes, and the optimizer driver runs end to end with structured
-# stats on a real workload.
+# suite passes, the optimizer driver runs end to end with structured
+# stats on a real workload, and every client's no-alias claims are
+# discharged by the dynamic auditor (the two `audit` runs below).
 check:
 	dune build @all
 	dune runtest
 	dune exec bin/tbaac.exe -- optimize --workload format --licm --slf --dse --stats
 	dune exec bin/tbaac.exe -- optimize --workload format --licm --slf --dse --jobs 2 --stats
 	dune exec bin/tbaac.exe -- fuzz --count 25 --seed 1 --out ""
+	dune exec bin/tbaac.exe -- audit
+	dune exec bin/tbaac.exe -- audit --licm --slf --dse
 
 # The full differential-testing sweep: 200 generated programs through the
 # 24-configuration matrix and all four oracles, then a fault-injected run

@@ -185,11 +185,19 @@ let definite_assignment_errors (proc : Cfg.proc) =
     Vec.iter
       (fun (b : Cfg.block) ->
         let avail = Bitset.copy inn.(b.Cfg.b_id) in
+        (* [ctx] is the offending instruction's text, formatted only when
+           an error is actually reported. *)
         let use ctx v =
-          if is_temp v && not (Bitset.mem avail (Hashtbl.find idx v.Reg.v_id))
-          then
+          let assigned =
+            (* a temp only a terminator reads was never noted: unassigned *)
+            match Hashtbl.find_opt idx v.Reg.v_id with
+            | Some k -> Bitset.mem avail k
+            | None -> false
+          in
+          if is_temp v && not assigned then
             errs :=
-              { ve_proc = pname; ve_block = b.Cfg.b_id; ve_instr = ctx;
+              { ve_proc = pname; ve_block = b.Cfg.b_id;
+                ve_instr = Some (Lazy.force ctx);
                 ve_msg =
                   Format.asprintf "temp %a read before any assignment"
                     Reg.pp_var v }
@@ -197,7 +205,7 @@ let definite_assignment_errors (proc : Cfg.proc) =
         in
         List.iter
           (fun i ->
-            let ctx = Some (Format.asprintf "%a" Instr.pp i) in
+            let ctx = lazy (Format.asprintf "%a" Instr.pp i) in
             List.iter (use ctx) (Instr.vars_used i);
             match Instr.defined_var i with
             | Some v when is_temp v ->
@@ -211,7 +219,7 @@ let definite_assignment_errors (proc : Cfg.proc) =
           | _ -> []
         in
         List.iter
-          (use (Some (Format.asprintf "%a" Instr.pp_terminator b.Cfg.b_term)))
+          (use (lazy (Format.asprintf "%a" Instr.pp_terminator b.Cfg.b_term)))
           term_vars)
       proc.Cfg.pr_blocks;
     List.rev !errs
@@ -225,27 +233,32 @@ let proc_errors (program : Cfg.program) (proc : Cfg.proc) =
   let env = program.Cfg.tenv in
   let pname = Ident.name proc.Cfg.pr_name in
   let errs = ref [] in
+  (* [instr] is the offending instruction's text, formatted only when an
+     error is actually reported: most verifications find none. *)
   let add ~block ~instr fmt =
     Format.kasprintf
       (fun m ->
         errs :=
-          { ve_proc = pname; ve_block = block; ve_instr = instr; ve_msg = m }
+          { ve_proc = pname; ve_block = block; ve_instr = Lazy.force instr;
+            ve_msg = m }
           :: !errs)
       fmt
   in
+  let no_instr = Lazy.from_val None in
   let n = Cfg.n_blocks proc in
   if proc.Cfg.pr_entry < 0 || proc.Cfg.pr_entry >= n then
-    add ~block:(-1) ~instr:None "entry block B%d out of range (%d blocks)"
+    add ~block:(-1) ~instr:no_instr "entry block B%d out of range (%d blocks)"
       proc.Cfg.pr_entry n;
   Vec.iteri
     (fun i (b : Cfg.block) ->
       if b.Cfg.b_id <> i then
-        add ~block:i ~instr:None "block id %d at table index %d" b.Cfg.b_id i;
+        add ~block:i ~instr:no_instr "block id %d at table index %d" b.Cfg.b_id i;
       List.iter
         (fun s ->
           if s < 0 || s >= n then
             add ~block:i
-              ~instr:(Some (Format.asprintf "%a" Instr.pp_terminator b.Cfg.b_term))
+              ~instr:
+                (lazy (Some (Format.asprintf "%a" Instr.pp_terminator b.Cfg.b_term)))
               "terminator targets out-of-range block B%d" s)
         (Cfg.successors b.Cfg.b_term))
     proc.Cfg.pr_blocks;
@@ -263,7 +276,7 @@ let proc_errors (program : Cfg.program) (proc : Cfg.proc) =
       let block = b.Cfg.b_id in
       List.iter
         (fun i ->
-          let instr = Some (Format.asprintf "%a" Instr.pp i) in
+          let instr = lazy (Some (Format.asprintf "%a" Instr.pp i)) in
           List.iter (check_var ~block ~instr) (Instr.vars_used i);
           Option.iter (check_var ~block ~instr) (Instr.defined_var i);
           match i with

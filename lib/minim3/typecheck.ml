@@ -17,6 +17,11 @@ type ctx = {
   recover : Diag.collector option;
       (* when set, statement- and declaration-level errors are recorded
          here and checking continues past them *)
+  mutable elab : Ast.ty_expr -> Types.tid;
+      (* the module-level type elaborator; procedure bodies elaborate type
+         expressions (NEW, locals) through it. Set once by
+         [check_module_with], which creates the state it closes over; kept
+         per context so concurrent typechecks never share it. *)
 }
 
 let err loc fmt = Diag.errorf_at loc fmt
@@ -38,13 +43,7 @@ let attempt ctx ~fallback f =
 
 let pp_ty ctx t = Types.to_string ctx.env t
 
-(* Late binding: procedure bodies elaborate type expressions (NEW, locals)
-   through the module-level elaborator, which closes over state created in
-   [check_module]. *)
-let ctx_elab_ty_ref : (ctx -> Ast.ty_expr -> Types.tid) ref =
-  ref (fun _ _ -> failwith "type elaborator not initialized")
-
-let ctx_elab_ty ctx te = !ctx_elab_ty_ref ctx te
+let ctx_elab_ty ctx te = ctx.elab te
 
 (* ------------------------------------------------------------------ *)
 (* Type elaboration                                                    *)
@@ -704,13 +703,14 @@ let check_module_with ?recover (m : Ast.module_) : Tast.program =
   let ctx =
     { env; type_table = Ident.Tbl.create 64; consts = Ident.Tbl.create 16;
       globals = Ident.Tbl.create 32; proc_sigs = Ident.Tbl.create 32;
-      scope = []; recover }
+      scope = []; recover;
+      elab = (fun _ -> failwith "type elaborator not initialized") }
   in
   let el =
     { ctx; decl_map = Ident.Tbl.create 64; in_progress = Ident.Set.empty;
       pending = [] }
   in
-  ctx_elab_ty_ref := (fun _ te -> elab_ty el te);
+  ctx.elab <- elab_ty el;
   (* Register type declarations. *)
   List.iter
     (function

@@ -31,27 +31,30 @@ let run_proc program proc stats =
   let n = Vec.length copies in
   if n = 0 then ()
   else begin
-    let kills_of_def (d : Reg.var) =
-      let s = Bitset.create n in
-      Vec.iteri
-        (fun i (v, u) ->
-          if Reg.var_equal d v || Reg.var_equal d u then Bitset.add s i)
-        copies;
-      s
+    (* Per-variable indexes over the copy universe, built once: the copies
+       a definition of a variable kills, the copies defining a variable
+       (ascending id, for [source_of]), and the first id of each distinct
+       (dst, src) pair. *)
+    let kills_by_var : (int, int list) Hashtbl.t = Hashtbl.create n in
+    let sources_by_var : (int, int list) Hashtbl.t = Hashtbl.create n in
+    let id_of_pair : (int * int, int) Hashtbl.t = Hashtbl.create n in
+    let push tbl k i =
+      Hashtbl.replace tbl k
+        (i :: Option.value (Hashtbl.find_opt tbl k) ~default:[])
     in
+    for i = n - 1 downto 0 do
+      let v, u = Vec.get copies i in
+      push kills_by_var v.Reg.v_id i;
+      if not (Reg.var_equal v u) then push kills_by_var u.Reg.v_id i;
+      push sources_by_var v.Reg.v_id i;
+      Hashtbl.replace id_of_pair (v.Reg.v_id, u.Reg.v_id) i
+    done;
     let copy_id_of instr =
       match instr with
       | Instr.Iassign (v, Instr.Ratom (Reg.Avar u))
         when (not (Reg.var_equal v u))
              && eligible_var excluded v && eligible_var excluded u ->
-        (* occurrences are interned in program order; find the matching id *)
-        let found = ref None in
-        Vec.iteri
-          (fun i (v', u') ->
-            if !found = None && Reg.var_equal v v' && Reg.var_equal u u' then
-              found := Some i)
-          copies;
-        !found
+        Hashtbl.find_opt id_of_pair (v.Reg.v_id, u.Reg.v_id)
       | _ -> None
     in
     let nb = Cfg.n_blocks proc in
@@ -60,9 +63,11 @@ let run_proc program proc stats =
     let transfer instr ~gen ~kill =
       (match Instr.defined_var instr with
       | Some d ->
-        let ks = kills_of_def d in
-        Bitset.diff_into ~dst:gen ks;
-        Bitset.union_into ~dst:kill ks
+        List.iter
+          (fun i ->
+            Bitset.remove gen i;
+            Bitset.add kill i)
+          (Option.value (Hashtbl.find_opt kills_by_var d.Reg.v_id) ~default:[])
       | None -> ());
       match copy_id_of instr with
       | Some c ->
@@ -83,18 +88,21 @@ let run_proc program proc stats =
         ~entry_fact:(Bitset.create n) ()
     in
     (* Rewrite pass: canonicalize each used variable through the available
-       copies (transitively, with a bound against cycles). *)
+       copies (transitively, with a bound against cycles). Only the fact
+       matters here; [scratch] absorbs the transfer's kill side. *)
+    let scratch = Bitset.create n in
     Vec.iter
       (fun b ->
         let fact = Bitset.copy result.Dataflow.inn.(b.Cfg.b_id) in
         let source_of v =
-          let found = ref None in
-          Vec.iteri
-            (fun i (v', u') ->
-              if !found = None && Bitset.mem fact i && Reg.var_equal v v' then
-                found := Some u')
-            copies;
-          !found
+          match
+            List.find_opt (Bitset.mem fact)
+              (Option.value
+                 (Hashtbl.find_opt sources_by_var v.Reg.v_id)
+                 ~default:[])
+          with
+          | Some i -> Some (snd (Vec.get copies i))
+          | None -> None
         in
         let canonical v =
           let rec go v steps =
@@ -151,7 +159,7 @@ let run_proc program proc stats =
                 | Instr.Ibuiltin (d, bi, args) ->
                   Instr.Ibuiltin (d, bi, List.map subst_atom args)
               in
-              transfer instr' ~gen:fact ~kill:(Bitset.create n);
+              transfer instr' ~gen:fact ~kill:scratch;
               instr')
             b.Cfg.b_instrs
         in

@@ -1,6 +1,5 @@
 open Support
 open Ir
-open Tbaa
 
 (* Dead-store elimination: a store is dead when, on every path from it,
    its cell is overwritten by another store to the *same* path (with the
@@ -9,7 +8,8 @@ open Tbaa
    Backward must-analysis over the procedure's distinct store paths; the
    bit for path P means "P's cell is overwritten before any possible
    read". A bit is generated by a store to exactly P and killed by
-   anything that may observe P's cell or change what P denotes:
+   anything that may observe P's cell or change what P denotes — the
+   effect index's read set ({!Mem_index.reads}):
 
    - a load whose prefix cells may alias P (alias oracle),
    - another store's or an address computation's navigation reads (their
@@ -37,117 +37,7 @@ type stats = { mutable removed : int }
 
 let kind = "dse"
 
-(* The store-path-side data the kill test consults, resolved once. *)
-type store_info = {
-  si_path : Apath.t;
-  si_vars : Reg.var list;
-  si_cls : Aloc.t;
-  si_base : Apath.t;  (* the base variable as a path *)
-  si_proper : Apath.t list;  (* proper prefixes: the cells navigated through *)
-  si_denote : Apath.t list;  (* si_base :: si_proper — a write to any of
-                                these changes which cell si_path denotes *)
-}
-
-let store_info (oracle : Oracle.t) ap =
-  let proper =
-    List.filter (fun r -> not (Apath.equal r ap)) (Apath.prefixes ap)
-  in
-  let base = Apath.of_var (Apath.base ap) in
-  { si_path = ap;
-    si_vars = Apath.vars_used ap;
-    si_cls = oracle.Oracle.store_class ap;
-    si_base = base;
-    si_proper = proper;
-    si_denote = base :: proper }
-
-(* May executing [instr] read the cell [si] denotes, or change which cell
-   that is? (The gen — a must-kill overwrite — is handled separately.) *)
-let read_pred ?claims (oracle : Oracle.t) modref instr =
-  let note p1 p2 ans =
-    (match claims with
-    | Some c -> Claims.record ~kind c p1 p2 ans
-    | None -> ());
-    ans
-  in
-  (* A definition of [v] invalidates a tracked path directly when [v] is
-     its base or an index; indirectly when [v] is memory-resident (a
-     global or address-taken variable) and its slot may underlie the base
-     slot or a prefix cell — the write changes what the path denotes. *)
-  let def_p =
-    match Instr.defined_var instr with
-    | Some v when v.Reg.v_kind = Reg.Vglobal || oracle.Oracle.addr_taken_var v
-      ->
-      let cls = Aloc.Lvar (v.Reg.v_id, v.Reg.v_ty) in
-      let vp = Apath.of_var v in
-      fun si ->
-        List.exists (Reg.var_equal v) si.si_vars
-        || List.exists
-             (fun p -> note vp p (oracle.Oracle.class_kills cls p))
-             si.si_denote
-    | Some v -> fun si -> List.exists (Reg.var_equal v) si.si_vars
-    | None -> fun _ -> false
-  in
-  (* Register reads of memory-resident variables: a write through [si]
-     could have targeted the variable's slot, so reading it observes the
-     store. Registers proper are unreachable from stores. *)
-  let mem_reads =
-    List.filter
-      (fun v ->
-        v.Reg.v_kind = Reg.Vglobal || oracle.Oracle.addr_taken_var v)
-      (Instr.vars_used instr)
-  in
-  let regs_p si =
-    List.exists
-      (fun v ->
-        let vp = Apath.of_var v in
-        note si.si_path vp (oracle.Oracle.class_kills si.si_cls vp))
-      mem_reads
-  in
-  let cells_p =
-    match instr with
-    | Instr.Iload (_, lp) ->
-      let qs = Apath.prefixes lp in
-      fun si ->
-        List.exists
-          (fun q -> note si.si_path q (oracle.Oracle.may_alias si.si_path q))
-          qs
-    | Instr.Iaddr (_, q) ->
-      (* Navigation reads: every proper prefix cell. The addressed cell
-         itself is merely located, not read or written. *)
-      let qs = List.filter (fun r -> not (Apath.equal r q)) (Apath.prefixes q) in
-      fun si ->
-        List.exists
-          (fun r -> note si.si_path r (oracle.Oracle.may_alias si.si_path r))
-          qs
-    | Instr.Istore (q, _) ->
-      (* Navigation reads as for Iaddr, plus the write: the stored-to cell
-         may be a cell the tracked path navigates through (a proper
-         prefix, or the base variable's memory slot), after which the
-         tracked path denotes a different cell — mirroring RLE's store
-         kill. Writing the tracked cell itself is not a kill: the
-         overwrite below still overwrites it. *)
-      let qs = List.filter (fun r -> not (Apath.equal r q)) (Apath.prefixes q) in
-      let scls = oracle.Oracle.store_class q in
-      fun si ->
-        List.exists
-          (fun r -> note si.si_path r (oracle.Oracle.may_alias si.si_path r))
-          qs
-        || List.exists
-             (fun p -> note q p (oracle.Oracle.may_alias q p))
-             si.si_proper
-        || note q si.si_base (oracle.Oracle.class_kills scls si.si_base)
-    | Instr.Icall (_, target, _) ->
-      (* Callees may read the cell (ref sets), or rewrite the path's
-         denotation by assigning its base variable or a prefix cell (mod
-         sets — the same legs RLE's call kill tests). *)
-      let rp = Modref.call_ref_pred modref oracle target in
-      let kp = Modref.call_kill_pred modref oracle target in
-      fun si -> rp [ si.si_path ] || kp si.si_denote
-    | Instr.Iassign _ | Instr.Inew _ | Instr.Ibuiltin _ -> fun _ -> false
-  in
-  fun si -> def_p si || regs_p si || cells_p si
-
-let sweep_proc ?claims (oracle : Oracle.t) modref proc stats =
+let sweep_proc ?claims index proc stats =
   let ids = Apath.Tbl.create 32 in
   let paths = Vec.create () in
   let intern ap =
@@ -165,17 +55,16 @@ let sweep_proc ?claims (oracle : Oracle.t) modref proc stats =
   let n = Vec.length paths in
   if n = 0 then ()
   else begin
-    let infos = Array.init n (fun i -> store_info oracle (Vec.get paths i)) in
+    let view =
+      Mem_index.view ?claims ~kind index (Array.init n (Vec.get paths))
+    in
     (* Per-instruction transfer, in backward order: the write happens
        last, so going backward the gen applies before the reads kill —
-       [fact' = (fact ∪ gen) − kill]. A store whose own navigation may
-       read its cell must not gen (the read observes the old value). *)
+       [fact' = (fact ∪ gen) − kill]. The kill is the effect index's read
+       set. A store whose own navigation may read its cell must not gen
+       (the read observes the old value). *)
     let transfer_of instr =
-      let k = Bitset.create n in
-      let reads = read_pred ?claims oracle modref instr in
-      for i = 0 to n - 1 do
-        if reads infos.(i) then Bitset.add k i
-      done;
+      let k = Mem_index.reads view instr in
       let g =
         match instr with
         | Instr.Istore (ap, _) ->
@@ -247,7 +136,7 @@ let sweep_proc ?claims (oracle : Oracle.t) modref proc stats =
       proc.Cfg.pr_blocks
   end
 
-let run_proc ?claims oracle modref proc stats =
+let run_proc ?claims index proc stats =
   (* Removing a dead store removes its navigation reads, which can expose
      earlier stores; iterate until a sweep finds nothing (the store count
      strictly decreases, so this terminates). Claims are recorded on the
@@ -255,7 +144,7 @@ let run_proc ?claims oracle modref proc stats =
      so every query they pose was already posed — and logged — by the
      first, and re-recording would only inflate the ledger's counters. *)
   let rec go claims prev =
-    sweep_proc ?claims oracle modref proc stats;
+    sweep_proc ?claims index proc stats;
     if stats.removed > prev then go None stats.removed
   in
   go claims stats.removed
@@ -268,7 +157,11 @@ let run ?modref ?claims program oracle =
   in
   let stats = { removed = 0 } in
   List.iter
-    (fun proc -> run_proc ?claims oracle modref proc stats)
+    (fun proc ->
+      let index =
+        Mem_index.create ~witnesses:(Option.is_some claims) oracle modref
+      in
+      run_proc ?claims index proc stats)
     program.Cfg.prog_procs;
   stats
 
@@ -279,8 +172,7 @@ let pass =
       Pass.Per_procedure
         (fun pc proc ->
           let s = { removed = 0 } in
-          run_proc ?claims:pc.Pass.pc_claims pc.Pass.pc_oracle
-            pc.Pass.pc_modref proc s;
+          run_proc ?claims:pc.Pass.pc_claims pc.Pass.pc_index proc s;
           { Pass.stats = [ ("removed", s.removed) ];
             changed = s.removed > 0;
             mutated = s.removed > 0 }) }

@@ -24,7 +24,8 @@ open Tbaa
 type stats = { mutable removed : int }
 
 val run_proc :
-  ?claims:Claims.t -> Oracle.t -> Modref.t -> Ir.Cfg.proc -> stats -> unit
+  ?claims:Claims.t -> Mem_index.t -> Ir.Cfg.proc -> stats -> unit
+(** One procedure, its read sets taken from the procedure's effect index. *)
 
 val run :
   ?modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats

@@ -22,15 +22,7 @@ let loop_instrs proc (loop : Loops.loop) =
     (fun bid acc -> List.rev_append (Cfg.block proc bid).Cfg.b_instrs acc)
     loop.Loops.body []
 
-let defs_in_loop instrs v =
-  List.exists
-    (fun i ->
-      match Instr.defined_var i with
-      | Some d -> Reg.var_equal d v
-      | None -> false)
-    instrs
-
-let hoist ?claims ?fresh program oracle modref proc stats =
+let hoist ?claims ?fresh program index proc stats =
   let fresh =
     match fresh with
     | Some f -> f
@@ -41,44 +33,44 @@ let hoist ?claims ?fresh program oracle modref proc stats =
   List.iter
     (fun loop ->
       let body_instrs = loop_instrs proc loop in
-      let invariant ap =
-        let qp = Rle.query_paths ap in
-        (not (List.exists (fun u -> defs_in_loop body_instrs u) qp.Rle.qp_vars))
-        && not
-             (List.exists
-                (* Loads go through the kill test too: one whose
-                   destination is a global or address-taken variable
-                   rewrites that variable's memory slot, which can
-                   underlie a cell the candidate path navigates through.
-                   [Rle.kill_pred] reduces to that cheap def test for
-                   loads. *)
-                (fun i -> Rle.kill_pred ?claims ~kind oracle modref i qp)
-                body_instrs)
+      let loads =
+        List.concat_map
+          (fun bid ->
+            List.filter_map
+              (function
+                | Instr.Iload (v, ap) as i -> Some (bid, i, v, ap)
+                | _ -> None)
+              (Cfg.block proc bid).Cfg.b_instrs)
+          (List.filter
+             (Loops.executes_every_iteration proc dom loop)
+             (Bitset.elements loop.Loops.body))
+      in
+      (* Loads go through the kill test too: one whose destination is a
+         global or address-taken variable rewrites that variable's memory
+         slot, which can underlie a cell the candidate path navigates
+         through. *)
+      let invariant =
+        Mem_index.invariant ?claims ~kind index body_instrs
+          (List.map (fun (_, _, _, ap) -> ap) loads)
       in
       (* Collect candidates before mutating: (block, load). The load's
          destination must have no other definition in the loop — the
          hoisted copy assigns it once, in the preheader's stead. *)
       let candidates = ref [] in
-      Bitset.iter
-        (fun bid ->
-          if Loops.executes_every_iteration proc dom loop bid then
-            List.iter
-              (fun i ->
-                match i with
-                | Instr.Iload (v, ap) when invariant ap ->
-                  let defs =
-                    List.filter
-                      (fun j ->
-                        match Instr.defined_var j with
-                        | Some d -> Reg.var_equal d v
-                        | None -> false)
-                      body_instrs
-                  in
-                  if List.length defs = 1 then
-                    candidates := (bid, i) :: !candidates
-                | _ -> ())
-              (Cfg.block proc bid).Cfg.b_instrs)
-        loop.Loops.body;
+      List.iter
+        (fun (bid, i, v, ap) ->
+          if invariant ap then begin
+            let defs =
+              List.filter
+                (fun j ->
+                  match Instr.defined_var j with
+                  | Some d -> Reg.var_equal d v
+                  | None -> false)
+                body_instrs
+            in
+            if List.length defs = 1 then candidates := (bid, i) :: !candidates
+          end)
+        loads;
       if !candidates <> [] then begin
         let pre = Loops.ensure_preheader proc loop in
         let pre_block = Cfg.block proc pre in
@@ -116,12 +108,12 @@ let hoist ?claims ?fresh program oracle modref proc stats =
       end)
     loops
 
-let run_proc ?claims ?fresh program oracle modref proc =
+let run_proc ?claims ?fresh program index proc =
   let stats = { hoisted = 0 } in
   (* Iterate so loads escape nested loops level by level; each round
      recomputes dominators over the preheaders of the previous one. *)
   let rec rounds budget prev =
-    hoist ?claims ?fresh program oracle modref proc stats;
+    hoist ?claims ?fresh program index proc stats;
     if stats.hoisted > prev && budget > 0 then rounds (budget - 1) stats.hoisted
   in
   rounds 4 0;
@@ -136,7 +128,10 @@ let run ?modref ?claims program oracle =
   let total = { hoisted = 0 } in
   List.iter
     (fun proc ->
-      let s = run_proc ?claims program oracle modref proc in
+      let index =
+        Mem_index.create ~witnesses:(Option.is_some claims) oracle modref
+      in
+      let s = run_proc ?claims program index proc in
       total.hoisted <- total.hoisted + s.hoisted)
     program.Cfg.prog_procs;
   total
@@ -149,7 +144,7 @@ let pass =
         (fun pc proc ->
           let s =
             run_proc ?claims:pc.Pass.pc_claims ~fresh:pc.Pass.pc_fresh
-              pc.Pass.pc_program pc.Pass.pc_oracle pc.Pass.pc_modref proc
+              pc.Pass.pc_program pc.Pass.pc_index proc
           in
           { Pass.stats = [ ("hoisted", s.hoisted) ];
             changed = s.hoisted > 0;

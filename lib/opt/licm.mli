@@ -21,9 +21,10 @@ type stats = { mutable hoisted : int }
 val run_proc :
   ?claims:Claims.t ->
   ?fresh:(name:string -> ty:Minim3.Types.tid -> kind:Ir.Reg.kind -> Ir.Reg.var) ->
-  Ir.Cfg.program -> Oracle.t -> Modref.t -> Ir.Cfg.proc -> stats
-(** One procedure. [fresh] overrides the preheader-home allocator
-    (defaults to {!Ir.Cfg.fresh_var} on the program counter). *)
+  Ir.Cfg.program -> Mem_index.t -> Ir.Cfg.proc -> stats
+(** One procedure, its invariance tests taken from the procedure's effect
+    index. [fresh] overrides the preheader-home allocator (defaults to
+    {!Ir.Cfg.fresh_var} on the program counter). *)
 
 val run :
   ?modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats

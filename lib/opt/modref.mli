@@ -33,17 +33,13 @@ val conservative : Ir.Cfg.program -> t
 val summary : t -> Ident.t -> summary
 (** Empty for unknown procedures. *)
 
-val call_kills : t -> Oracle.t -> Ir.Instr.target -> Ir.Apath.t -> bool
-(** May executing this call change the value of the given memory
-    expression? True iff some possible callee's mod set may write any
-    selector-prefix of the path. *)
-
 val call_kill_pred :
   t -> Oracle.t -> Ir.Instr.target -> Ir.Apath.t list -> bool
-(** [call_kills] with the call-side data (callee mod sets) resolved once
-    at partial application; the returned predicate takes precomputed query
-    paths (the expression's base variable as a path followed by its
-    prefixes). For callers that test one call against many expressions. *)
+(** May executing this call change the value of a memory expression? The
+    call-side data (callee mod sets) is resolved once at partial
+    application; the returned predicate takes the expression's query
+    paths (its base variable as a path followed by its prefixes) and holds
+    iff some possible callee's mod set may write one of them. *)
 
 val call_ref_pred :
   t -> Oracle.t -> Ir.Instr.target -> Ir.Apath.t list -> bool

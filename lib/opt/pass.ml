@@ -48,19 +48,24 @@ type context = {
   mutable fault : fault option;  (* when set, the oracle is fault-injected *)
   mutable oracle_log : (Ir.Apath.t -> Ir.Apath.t -> bool -> unit) option;
       (* when set, observes every distinct may_alias query (fuzzer hook) *)
+  mutable index_memo : index_slot option array;
+      (* per procedure position: the effect index over analysis_memo *)
 }
+
+and index_slot = { ix_proc : Ir.Cfg.proc; ix_index : Mem_index.t }
 
 let create ?(world = World.Closed) ?(oracle_kind = Osm_field_type_refs)
     ?(jobs = 1) () =
   { world; oracle_kind; jobs; analysis_memo = None; engine_memo = None;
     oracle_memo = None; modref_memo = None;
     oracle_counters = Oracle_cache.fresh_counters (); analyses_run = 0;
-    claims = None; fault = None; oracle_log = None }
+    claims = None; fault = None; oracle_log = None; index_memo = [||] }
 
 let invalidate ctx =
   ctx.analysis_memo <- None;
   ctx.oracle_memo <- None;
-  ctx.modref_memo <- None
+  ctx.modref_memo <- None;
+  ctx.index_memo <- [||]
 
 let analysis ctx program =
   match ctx.analysis_memo with
@@ -137,8 +142,7 @@ type role = Transform | Enabling
 
 type proc_context = {
   pc_program : Ir.Cfg.program;
-  pc_oracle : Oracle.t;
-  pc_modref : Modref.t;
+  pc_index : Mem_index.t;
   pc_claims : Claims.t option;
   pc_fresh :
     name:string -> ty:Minim3.Types.tid -> kind:Ir.Reg.kind -> Ir.Reg.var;

@@ -68,6 +68,15 @@ type context = {
           Installing it (or [fault]) forces per-procedure passes onto the
           shared sequential path, where "once per distinct pair" is
           well-defined. *)
+  mutable index_memo : index_slot option array;
+      (** per procedure position: the {!Mem_index} built over
+          [analysis_memo], shared by consecutive per-procedure passes;
+          emptied by {!invalidate} *)
+}
+
+and index_slot = {
+  ix_proc : Ir.Cfg.proc;  (** the procedure the index describes *)
+  ix_index : Mem_index.t;
 }
 
 val create :
@@ -100,9 +109,10 @@ val type_refs : context -> Ir.Cfg.program -> Minim3.Types.tid -> Minim3.Types.ti
 (** The TypeRefsTable of the memoized analysis (method resolution's input). *)
 
 val invalidate : context -> unit
-(** Drop the memoized analysis and its cached oracle — called by the pass
-    manager after any pass that mutated the program. The underlying
-    engine is kept: the next {!analysis} is an incremental update. *)
+(** Drop the memoized analysis, its cached oracle and the effect indexes
+    built over it — called by the pass manager after any pass that
+    mutated the program. The underlying engine is kept: the next
+    {!analysis} is an incremental update. *)
 
 (** {1 Passes} *)
 
@@ -136,8 +146,10 @@ type proc_context = {
       (** the enclosing program — read-only shared state (type
           environment, procedure list); per-procedure passes must not
           mutate anything outside their own procedure *)
-  pc_oracle : Oracle.t;  (** memoizing-cached, private to this procedure *)
-  pc_modref : Modref.t;  (** shared, read-only (forced before use) *)
+  pc_index : Mem_index.t;
+      (** this procedure's effect index over the analysis oracle (with a
+          private memoizing cache) and the shared mod-ref: clients derive
+          their kill and read sets from it *)
   pc_claims : Claims.t option;
       (** private per-procedure ledger, merged in program order *)
   pc_fresh :

@@ -132,9 +132,14 @@ let ident_mutex = Mutex.create ()
 
    - fresh variables come from a laced allocator (procedure [i]'s [k]-th
      temp is [start + i + k*n]), used identically at any domain count;
-   - every procedure gets a private memoizing oracle cache over the raw
-     analysis oracle (the raw closures are pure) and a private claims
-     ledger, merged in program order afterwards;
+   - every procedure gets a private effect index ({!Mem_index}) over a
+     private memoizing oracle cache over the raw analysis oracle (the raw
+     closures are pure), and a private claims ledger, merged in program
+     order afterwards. The index lives in the context's per-position
+     slot until the analysis is invalidated, so consecutive passes over
+     one revision share its answers; it is built and filled only by the
+     worker that owns the procedure, so its contents — and the oracle
+     counts charged to each pass — do not depend on the domain count;
    - the [Apath]/[Aloc] intern tables flip into mutex-guarded mode for
      the duration of a multi-domain region, and dataflow's cumulative
      counters are atomics.
@@ -155,16 +160,17 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
     (match memo with
     | Some { m_fps = Some tbl; _ } -> Hashtbl.reset tbl
     | _ -> ());
-    let pc =
-      { Pass.pc_program = program;
-        pc_oracle = Pass.oracle ctx program;
-        pc_modref = Pass.modref ctx program;
-        pc_claims = ctx.Pass.claims;
-        pc_fresh =
-          (fun ~name ~ty ~kind -> Ir.Cfg.fresh_var program ~name ~ty ~kind) }
-    in
+    let oracle = Pass.oracle ctx program and modref = Pass.modref ctx program in
+    let witnesses = Option.is_some ctx.Pass.claims in
     let outcomes = Array.make n (Pass.unchanged []) in
     for i = 0 to n - 1 do
+      let pc =
+        { Pass.pc_program = program;
+          pc_index = Mem_index.create ~witnesses oracle modref;
+          pc_claims = ctx.Pass.claims;
+          pc_fresh =
+            (fun ~name ~ty ~kind -> Ir.Cfg.fresh_var program ~name ~ty ~kind) }
+      in
       outcomes.(i) <- run_proc pc procs.(i)
     done;
     Pass.merge_outcomes outcomes
@@ -185,7 +191,8 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
               Hashtbl.replace tbl nm fp;
               fp)
           procs
-      | _ -> Array.map Ir.Fingerprint.proc procs
+      | Some _ -> Array.map Ir.Fingerprint.proc procs
+      | None -> [||]  (* read only by the memo lookups and records below *)
     in
     (* Which procedures can replay a memoized result. *)
     let hits = Array.make n None in
@@ -247,6 +254,11 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
       hits;
     if nlive > 0 then begin
       let raw = Option.get raw and modref = Option.get modref in
+      (* Effect indexes carry over from the previous pass while the
+         analysis stands; each worker fills only its own slot. *)
+      if Array.length ctx.Pass.index_memo <> n then
+        ctx.Pass.index_memo <- Array.make n None;
+      let slots = ctx.Pass.index_memo in
       let oname = Pass.oracle_name ctx.Pass.oracle_kind in
       let domains = if ctx.Pass.jobs <= 1 then 1 else min ctx.Pass.jobs nlive in
       let run_live j =
@@ -273,14 +285,36 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
         ledgers.(i) <- claims;
         let c = Oracle_cache.fresh_counters () in
         counters.(i) <- c;
+        let index =
+          match slots.(i) with
+          | Some s
+            when s.Pass.ix_proc == proc
+                 && ((not want_claims) || Mem_index.witnesses s.Pass.ix_index)
+            ->
+            s.Pass.ix_index
+          | _ ->
+            let index = Mem_index.create ~witnesses:want_claims raw modref in
+            slots.(i) <- Some { Pass.ix_proc = proc; ix_index = index };
+            index
+        in
+        (* A private cache for this run, built only if the index is
+           missing an answer. *)
+        Mem_index.set_oracle index (lazy (Oracle_cache.wrap ~counters:c raw));
         let pc =
           { Pass.pc_program = program;
-            pc_oracle = Oracle_cache.wrap ~counters:c raw;
-            pc_modref = modref;
+            pc_index = index;
             pc_claims = claims;
             pc_fresh = fresh }
         in
-        outcomes.(i) <- run_proc pc proc
+        outcomes.(i) <- run_proc pc proc;
+        (* A run that rewrote the procedure invalidates the analysis when
+           the pass ends, and every index with it: drop this one now
+           rather than carry it through the rest of the pass. Otherwise
+           the cache dies with this run, and the retained index answers
+           any later question through the raw oracle until the next run
+           installs its own cache. *)
+        if outcomes.(i).Pass.mutated then slots.(i) <- None
+        else Mem_index.set_oracle index (Lazy.from_val raw)
       in
       if domains > 1 then begin
         Ir.Apath.set_concurrent true;

@@ -23,7 +23,7 @@ let split_edge proc (p : Cfg.block) b_id =
   | _ -> ());
   fresh
 
-let run_proc ?fresh program oracle modref proc stats =
+let run_proc ?fresh program index proc stats =
   let fresh =
     match fresh with
     | Some f -> f
@@ -49,13 +49,10 @@ let run_proc ?fresh program oracle modref proc stats =
   let n = Vec.length exprs in
   if n = 0 then ()
   else begin
-    let kill_set instr =
-      let s = Bitset.create n in
-      Vec.iteri
-        (fun i ap -> if Rle.instr_kills oracle modref instr ap then Bitset.add s i)
-        exprs;
-      s
-    in
+    (* Each instruction's kill set is materialized once; the used-in walk
+       below reuses the block summaries' sets. *)
+    let view = Mem_index.view index (Array.init n (Vec.get exprs)) in
+    let kill_set instr = Mem_index.writes view instr in
     let gens instr =
       match instr with
       | Instr.Iload (v, ap) ->
@@ -185,7 +182,8 @@ let run ?modref program oracle =
   in
   let stats = { inserted = 0; edges_split = 0 } in
   List.iter
-    (fun proc -> run_proc program oracle modref proc stats)
+    (fun proc ->
+      run_proc program (Mem_index.create oracle modref) proc stats)
     program.Cfg.prog_procs;
   stats
 
@@ -196,8 +194,8 @@ let pass =
       Pass.Per_procedure
         (fun pc proc ->
           let s = { inserted = 0; edges_split = 0 } in
-          run_proc ~fresh:pc.Pass.pc_fresh pc.Pass.pc_program pc.Pass.pc_oracle
-            pc.Pass.pc_modref proc s;
+          run_proc ~fresh:pc.Pass.pc_fresh pc.Pass.pc_program
+            pc.Pass.pc_index proc s;
           { Pass.stats =
               [ ("inserted", s.inserted); ("edges_split", s.edges_split) ];
             changed = s.inserted > 0;

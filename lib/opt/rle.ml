@@ -11,83 +11,6 @@ type stats = {
 
 let removed s = s.hoisted + s.eliminated + s.shortened
 
-(* The kill test for a tracked expression consults the same derived paths
-   (its variables, its prefixes, its base variable as a path) for every
-   instruction in the procedure; recomputing them per query is quadratic
-   allocation. They are resolved once per expression instead. *)
-type query_paths = {
-  qp_vars : Reg.var list;  (* variables the path reads (base and indices) *)
-  qp_base : Apath.t;  (* the base variable as a path *)
-  qp_prefixes : Apath.t list;  (* all prefixes, including the path itself *)
-  qp_all : Apath.t list;  (* qp_base :: qp_prefixes *)
-}
-
-let query_paths ap =
-  let prefixes = Apath.prefixes ap in
-  let base = Apath.of_var (Apath.base ap) in
-  { qp_vars = Apath.vars_used ap;
-    qp_base = base;
-    qp_prefixes = prefixes;
-    qp_all = base :: prefixes }
-
-(* The instruction-side data is likewise shared across every expression the
-   instruction is tested against: the defined variable's escape status and
-   location class, a store's own class, a call's mod summaries. [kill_pred]
-   resolves those once and returns the per-expression predicate.
-
-   A definition of [v] invalidates an expression directly when [v] is the
-   base or an index of the path; indirectly when [v] is memory-resident for
-   others (a global or address-taken variable) and a location of its class
-   may underlie the path. A store kills per {!Oracle.kills_load}; a call
-   kills what its callees' mod sets may write. *)
-let kill_pred ?claims ?kind (oracle : Oracle.t) modref instr =
-  (* Each oracle answer consulted here is a bet the rewrite stands on;
-     with a ledger installed, log it against the witness paths so the
-     dynamic auditor can cross-check the "no" answers against concrete
-     addresses. [kind] attributes the bet to the client on whose behalf
-     the predicate runs (SLF and LICM reuse this predicate). Call kills
-     are exempt: mod-ref summaries are sets of location classes with no
-     witness path to audit. *)
-  let note p1 p2 ans =
-    (match claims with Some c -> Claims.record ?kind c p1 p2 ans | None -> ());
-    ans
-  in
-  let def_pred v =
-    if v.Reg.v_kind = Reg.Vglobal || oracle.Oracle.addr_taken_var v then begin
-      let cls = Aloc.Lvar (v.Reg.v_id, v.Reg.v_ty) in
-      let vpath = Apath.of_var v in
-      fun qp ->
-        List.exists (Reg.var_equal v) qp.qp_vars
-        || List.exists
-             (fun p -> note vpath p (oracle.Oracle.class_kills cls p))
-             qp.qp_all
-    end
-    else fun qp -> List.exists (Reg.var_equal v) qp.qp_vars
-  in
-  let dst_pred = function
-    | Some v -> def_pred v
-    | None -> fun _ -> false
-  in
-  match instr with
-  | Instr.Iassign (v, _) | Instr.Iaddr (v, _) | Instr.Inew (v, _, _)
-  | Instr.Iload (v, _) ->
-    def_pred v
-  | Instr.Istore (sap, _) ->
-    let scls = oracle.Oracle.store_class sap in
-    fun qp ->
-      List.exists
-        (fun prefix -> note sap prefix (oracle.Oracle.may_alias sap prefix))
-        qp.qp_prefixes
-      || note sap qp.qp_base (oracle.Oracle.class_kills scls qp.qp_base)
-  | Instr.Icall (dst, target, _) ->
-    let dp = dst_pred dst in
-    let cp = Modref.call_kill_pred modref oracle target in
-    fun qp -> dp qp || cp qp.qp_all
-  | Instr.Ibuiltin (dst, _, _) -> dst_pred dst
-
-let instr_kills ?claims ?kind oracle modref instr ap =
-  kill_pred ?claims ?kind oracle modref instr (query_paths ap)
-
 (* The memory *expressions* RLE tracks are the scalar-typed prefixes of a
    path: those denote one word the machine actually reads (a pointer or a
    scalar). Aggregate-typed prefixes (an inline record, the array behind a
@@ -108,75 +31,73 @@ let loop_instrs proc (loop : Loops.loop) =
     (fun bid acc -> List.rev_append (Cfg.block proc bid).Cfg.b_instrs acc)
     loop.Loops.body []
 
-let defs_in_loop instrs v =
-  List.exists
-    (fun i ->
-      match Instr.defined_var i with
-      | Some d -> Reg.var_equal d v
-      | None -> false)
-    instrs
-
 let default_fresh program ~name ~ty ~kind =
   Cfg.fresh_var program ~name ~ty ~kind
 
-let hoist_loops ?claims ?fresh program oracle modref proc stats =
+let hoist_loops ?claims ?fresh program index proc stats =
   let fresh =
     match fresh with Some f -> f | None -> default_fresh program
   in
+  let tenv = program.Cfg.tenv in
   let dom = Dom.compute proc in
   let loops = Loops.find proc dom in
   List.iter
     (fun loop ->
       let body_instrs = loop_instrs proc loop in
-      let prefix_invariant p =
-        let qp = query_paths p in
-        (not (List.exists (fun u -> defs_in_loop body_instrs u) qp.qp_vars))
-        && not
-             (List.exists
-                (* Loads go through the kill test too: one whose
-                   destination is a global or address-taken variable
-                   rewrites that variable's memory slot, which can
-                   underlie a cell the candidate prefix navigates through.
-                   [kill_pred] reduces to that cheap def test for loads. *)
-                (fun i -> kill_pred ?claims oracle modref i qp)
-                body_instrs)
+      let every_iteration =
+        List.filter
+          (Loops.executes_every_iteration proc dom loop)
+          (Bitset.elements loop.Loops.body)
+      in
+      let loads =
+        List.concat_map
+          (fun bid ->
+            List.filter_map
+              (function
+                | Instr.Iload (v, ap) as i -> Some (bid, i, v, ap)
+                | _ -> None)
+              (Cfg.block proc bid).Cfg.b_instrs)
+          every_iteration
+      in
+      (* Loads go through the kill test too: one whose destination is a
+         global or address-taken variable rewrites that variable's memory
+         slot, which can underlie a cell a candidate prefix navigates
+         through. *)
+      let prefix_invariant =
+        Mem_index.invariant ?claims index body_instrs
+          (List.concat_map
+             (fun (_, _, _, ap) -> scalar_prefixes tenv ap)
+             loads)
       in
       let longest_invariant_prefix ap =
         List.fold_left
           (fun best p -> if prefix_invariant p then Some p else best)
           None
-          (scalar_prefixes program.Cfg.tenv ap)
+          (scalar_prefixes tenv ap)
       in
       (* Collect candidates before mutating: (block, instr, prefix). *)
       let candidates = ref [] in
-      Bitset.iter
-        (fun bid ->
-          if Loops.executes_every_iteration proc dom loop bid then
-            List.iter
-              (fun i ->
-                match i with
-                | Instr.Iload (v, ap) -> (
-                  match longest_invariant_prefix ap with
-                  | Some p ->
-                    (* If the whole path moves, its destination must have no
-                       other definition in the loop. *)
-                    let whole = Apath.equal p ap in
-                    let v_ok =
-                      (not whole)
-                      || List.length
-                           (List.filter
-                              (fun j ->
-                                match Instr.defined_var j with
-                                | Some d -> Reg.var_equal d v
-                                | None -> false)
-                              body_instrs)
-                         = 1
-                    in
-                    if v_ok then candidates := (bid, i, p) :: !candidates
-                  | None -> ())
-                | _ -> ())
-              (Cfg.block proc bid).Cfg.b_instrs)
-        loop.Loops.body;
+      List.iter
+        (fun (bid, i, v, ap) ->
+          match longest_invariant_prefix ap with
+          | Some p ->
+            (* If the whole path moves, its destination must have no
+               other definition in the loop. *)
+            let whole = Apath.equal p ap in
+            let v_ok =
+              (not whole)
+              || List.length
+                   (List.filter
+                      (fun j ->
+                        match Instr.defined_var j with
+                        | Some d -> Reg.var_equal d v
+                        | None -> false)
+                      body_instrs)
+                 = 1
+            in
+            if v_ok then candidates := (bid, i, p) :: !candidates
+          | None -> ())
+        loads;
       if !candidates <> [] then begin
         let pre = Loops.ensure_preheader proc loop in
         let pre_block = Cfg.block proc pre in
@@ -226,7 +147,7 @@ let hoist_loops ?claims ?fresh program oracle modref proc stats =
    the longest available prefix. A store generates its proper prefixes (it
    reads them to navigate) and its own path (store-to-load forwarding). *)
 
-let cse ?claims ?fresh program oracle modref proc stats =
+let cse ?claims ?fresh program index proc stats =
   let fresh =
     match fresh with Some f -> f | None -> default_fresh program
   in
@@ -250,16 +171,12 @@ let cse ?claims ?fresh program oracle modref proc stats =
   if n = 0 then ()
   else begin
     (* The universe is fixed from here on (gens_of re-interns only paths
-       already scanned), so each expression's query paths resolve once. *)
-    let qps = Array.init n (fun i -> query_paths (Vec.get exprs i)) in
-    let kill_set_of instr =
-      let s = Bitset.create n in
-      let kills = kill_pred ?claims oracle modref instr in
-      for i = 0 to n - 1 do
-        if kills qps.(i) then Bitset.add s i
-      done;
-      s
+       already scanned). Each instruction's kill set is materialized once,
+       for the block summaries; the rewrite walk reuses it. *)
+    let view =
+      Mem_index.view ?claims index (Array.init n (Vec.get exprs))
     in
+    let kill_set_of instr = Mem_index.writes view instr in
     (* Expressions an instruction makes available, honoring the
        self-dependence guard on the defined variable. *)
     let gens_of instr =
@@ -394,16 +311,16 @@ let cse ?claims ?fresh program oracle modref proc stats =
       proc.Cfg.pr_blocks
   end
 
-let run_proc ?claims ?fresh program oracle modref proc =
+let run_proc ?claims ?fresh program index proc =
   let stats = { hoisted = 0; eliminated = 0; shortened = 0 } in
   (* Iterate hoisting so loads escape nested loops level by level; each
      round recomputes dominators over the preheaders of the previous one. *)
   let rec rounds budget prev =
-    hoist_loops ?claims ?fresh program oracle modref proc stats;
+    hoist_loops ?claims ?fresh program index proc stats;
     if stats.hoisted > prev && budget > 0 then rounds (budget - 1) stats.hoisted
   in
   rounds 4 0;
-  cse ?claims ?fresh program oracle modref proc stats;
+  cse ?claims ?fresh program index proc stats;
   stats
 
 let run ?modref ?claims program oracle =
@@ -415,7 +332,10 @@ let run ?modref ?claims program oracle =
   let total = { hoisted = 0; eliminated = 0; shortened = 0 } in
   List.iter
     (fun proc ->
-      let s = run_proc ?claims program oracle modref proc in
+      let index =
+        Mem_index.create ~witnesses:(Option.is_some claims) oracle modref
+      in
+      let s = run_proc ?claims program index proc in
       total.hoisted <- total.hoisted + s.hoisted;
       total.eliminated <- total.eliminated + s.eliminated;
       total.shortened <- total.shortened + s.shortened)
@@ -430,7 +350,7 @@ let pass =
         (fun pc proc ->
           let s =
             run_proc ?claims:pc.Pass.pc_claims ~fresh:pc.Pass.pc_fresh
-              pc.Pass.pc_program pc.Pass.pc_oracle pc.Pass.pc_modref proc
+              pc.Pass.pc_program pc.Pass.pc_index proc
           in
           { Pass.stats =
               [ ("hoisted", s.hoisted); ("eliminated", s.eliminated);

@@ -26,54 +26,18 @@ type stats = {
   mutable shortened : int;  (* loads whose available prefix was reused *)
 }
 
-type query_paths = {
-  qp_vars : Ir.Reg.var list;  (* variables the path reads (base and indices) *)
-  qp_base : Ir.Apath.t;  (* the base variable as a path *)
-  qp_prefixes : Ir.Apath.t list;  (* all prefixes, including the path itself *)
-  qp_all : Ir.Apath.t list;  (* qp_base :: qp_prefixes *)
-}
-(** The derived paths the kill test consults for one expression, resolved
-    once (shared by the other TBAA clients — SLF and LICM replay the same
-    invalidation reasoning). *)
-
-val query_paths : Ir.Apath.t -> query_paths
-
-val kill_pred :
-  ?claims:Claims.t ->
-  ?kind:string ->
-  Oracle.t ->
-  Modref.t ->
-  Ir.Instr.t ->
-  query_paths ->
-  bool
-(** [kill_pred oracle modref instr] resolves the instruction-side data
-    once and returns the per-expression kill test. With [claims], every
-    oracle answer consulted is logged against its witness paths under
-    client [kind] (default ["rle"]). *)
-
-val instr_kills :
-  ?claims:Claims.t ->
-  ?kind:string ->
-  Oracle.t ->
-  Modref.t ->
-  Ir.Instr.t ->
-  Ir.Apath.t ->
-  bool
-(** May executing this instruction change the value of the given memory
-    expression? (Exposed for the limit-study classifier, which replays
-    RLE's availability reasoning.) With [claims], every oracle answer
-    consulted is logged against its witness paths. *)
-
 val removed : stats -> int
 (** Total loads removed statically — the paper's Table 6 number. *)
 
 val run_proc :
   ?claims:Claims.t ->
   ?fresh:(name:string -> ty:Minim3.Types.tid -> kind:Ir.Reg.kind -> Ir.Reg.var) ->
-  Ir.Cfg.program -> Oracle.t -> Modref.t -> Ir.Cfg.proc -> stats
-(** One procedure. [fresh] overrides the home-temporary allocator
-    (defaults to {!Ir.Cfg.fresh_var} on the program counter); the
-    per-procedure engine passes its deterministic laced allocator. *)
+  Ir.Cfg.program -> Mem_index.t -> Ir.Cfg.proc -> stats
+(** One procedure, its kill sets taken from the procedure's effect index
+    (which must have witnesses when [claims] is given). [fresh] overrides
+    the home-temporary allocator (defaults to {!Ir.Cfg.fresh_var} on the
+    program counter); the per-procedure engine passes its deterministic
+    laced allocator. *)
 
 val run : ?modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
 (** Run over every procedure. Computes mod-ref summaries unless an

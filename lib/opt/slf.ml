@@ -1,6 +1,5 @@
 open Support
 open Ir
-open Tbaa
 
 (* Store-to-load forwarding: the dual of RLE. RLE keeps loaded values in
    home temporaries and reuses them at later loads; this pass tracks
@@ -18,10 +17,11 @@ open Tbaa
      anything that may write its slot, e.g. a callee writing through a
      VAR formal.
 
-   The invalidation test is exactly RLE's kill predicate plus the
-   atom-redefinition leg; every oracle answer consulted is logged in the
-   claims ledger under kind "slf". Forward must-availability over the
-   distinct (path, atom) bindings, one solve per procedure. *)
+   The invalidation test is exactly RLE's kill set (the effect index's
+   write set) plus the atom-redefinition leg; every oracle answer
+   consulted is logged in the claims ledger under kind "slf". Forward
+   must-availability over the distinct (path, atom) bindings, one solve
+   per procedure. *)
 
 type stats = { mutable forwarded : int }
 
@@ -34,7 +34,7 @@ let atom_key = function
   | Reg.Achar c -> (3, Char.code c)
   | Reg.Anil -> (4, 0)
 
-let run_proc ?claims (oracle : Oracle.t) modref proc stats =
+let run_proc ?claims index proc stats =
   (* Universe: the distinct (stored path, stored atom) bindings. *)
   let ids : (int * (int * int), int) Hashtbl.t = Hashtbl.create 32 in
   let bindings = Vec.create () in
@@ -54,23 +54,33 @@ let run_proc ?claims (oracle : Oracle.t) modref proc stats =
   let n = Vec.length bindings in
   if n = 0 then ()
   else begin
-    let qps =
-      Array.init n (fun i -> Rle.query_paths (fst (Vec.get bindings i)))
+    let paths =
+      Mem_index.view ?claims ~kind index
+        (Array.init n (fun i -> fst (Vec.get bindings i)))
     in
     (* A stored atom that is a memory-resident variable (a global, or one
        whose address escaped) can change without a direct definition — a
        callee writing through a VAR formal, a store through an escaped
        address. Such a binding is additionally killed by anything that may
-       write the variable's own slot, which is exactly the kill test for
-       the variable as a path. *)
-    let atom_qps =
-      Array.init n (fun i ->
-          match snd (Vec.get bindings i) with
-          | Reg.Avar w
-            when w.Reg.v_kind = Reg.Vglobal || oracle.Oracle.addr_taken_var w
-            ->
-            Some (Rle.query_paths (Apath.of_var w))
-          | _ -> None)
+       write the variable's own slot: the write set of the variable as a
+       path, in the [atoms] view, whose position [j] stands for binding
+       [atom_binding.(j)]. Any atom variable's direct redefinition kills
+       its bindings too. *)
+    let slots = ref [] in
+    let by_atom : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+    for i = n - 1 downto 0 do
+      match snd (Vec.get bindings i) with
+      | Reg.Avar w ->
+        Hashtbl.replace by_atom w.Reg.v_id
+          (i :: Option.value (Hashtbl.find_opt by_atom w.Reg.v_id) ~default:[]);
+        if Mem_index.memory_resident index w then
+          slots := (i, Apath.of_var w) :: !slots
+      | _ -> ()
+    done;
+    let atom_binding = Array.of_list (List.map fst !slots) in
+    let atoms =
+      Mem_index.view ?claims ~kind index
+        (Array.of_list (List.map snd !slots))
     in
     (* Binding indices per path id, for the rewrite lookup. *)
     let by_path : (int, int list) Hashtbl.t = Hashtbl.create 32 in
@@ -80,20 +90,21 @@ let run_proc ?claims (oracle : Oracle.t) modref proc stats =
         (i :: Option.value (Hashtbl.find_opt by_path pid) ~default:[])
     done;
     let kill_set_of instr =
-      let s = Bitset.create n in
-      let kills = Rle.kill_pred ?claims ~kind oracle modref instr in
-      let def = Instr.defined_var instr in
-      for i = 0 to n - 1 do
-        let killed =
-          kills qps.(i)
-          || (match (def, snd (Vec.get bindings i)) with
-             | Some d, Reg.Avar w -> Reg.var_equal d w
-             | _ -> false)
-          || match atom_qps.(i) with Some q -> kills q | None -> false
-        in
-        if killed then Bitset.add s i
-      done;
-      s
+      let path_kills = Mem_index.writes paths instr in
+      let slot_kills = Mem_index.writes atoms instr in
+      let redefined =
+        match Instr.defined_var instr with
+        | Some d ->
+          Option.value (Hashtbl.find_opt by_atom d.Reg.v_id) ~default:[]
+        | None -> []
+      in
+      if redefined = [] && Bitset.is_empty slot_kills then path_kills
+      else begin
+        let s = Bitset.copy path_kills in
+        Bitset.iter (fun j -> Bitset.add s atom_binding.(j)) slot_kills;
+        List.iter (Bitset.add s) redefined;
+        s
+      end
     in
     let gens_of = function
       | Instr.Istore (ap, a) -> [ intern ap a ]
@@ -173,7 +184,11 @@ let run ?modref ?claims program oracle =
   in
   let stats = { forwarded = 0 } in
   List.iter
-    (fun proc -> run_proc ?claims oracle modref proc stats)
+    (fun proc ->
+      let index =
+        Mem_index.create ~witnesses:(Option.is_some claims) oracle modref
+      in
+      run_proc ?claims index proc stats)
     program.Cfg.prog_procs;
   stats
 
@@ -184,8 +199,7 @@ let pass =
       Pass.Per_procedure
         (fun pc proc ->
           let s = { forwarded = 0 } in
-          run_proc ?claims:pc.Pass.pc_claims pc.Pass.pc_oracle
-            pc.Pass.pc_modref proc s;
+          run_proc ?claims:pc.Pass.pc_claims pc.Pass.pc_index proc s;
           { Pass.stats = [ ("forwarded", s.forwarded) ];
             changed = s.forwarded > 0;
             mutated = s.forwarded > 0 }) }

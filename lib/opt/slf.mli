@@ -16,7 +16,8 @@ open Tbaa
 type stats = { mutable forwarded : int }
 
 val run_proc :
-  ?claims:Claims.t -> Oracle.t -> Modref.t -> Ir.Cfg.proc -> stats -> unit
+  ?claims:Claims.t -> Mem_index.t -> Ir.Cfg.proc -> stats -> unit
+(** One procedure, its kill sets taken from the procedure's effect index. *)
 
 val run :
   ?modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats

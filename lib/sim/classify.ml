@@ -20,9 +20,10 @@ type avail = {
   exprs : Apath.t Vec.t;
   ids : int Apath.Tbl.t;
   inn : Bitset.t array;  (* block-entry facts *)
-  kills : Instr.t -> Apath.t -> bool;
+  kill_set : Instr.t -> Bitset.t;  (* over [exprs] *)
 }
 
+(* [kills exprs] gives the kill-set function over the universe [exprs]. *)
 let build_avail tenv proc ~confluence ~kills =
   let scalar_prefixes ap =
     List.filter
@@ -45,11 +46,7 @@ let build_avail tenv proc ~confluence ~kills =
         List.iter (fun p -> ignore (intern p)) (scalar_prefixes ap)
       | _ -> ());
   let n = Vec.length exprs in
-  let kill_set instr =
-    let s = Bitset.create n in
-    Vec.iteri (fun i ap -> if kills instr ap then Bitset.add s i) exprs;
-    s
-  in
+  let kill_set = kills (Array.init n (Vec.get exprs)) in
   let gens instr =
     match instr with
     | Instr.Iload (v, ap) ->
@@ -88,7 +85,7 @@ let build_avail tenv proc ~confluence ~kills =
         ~kill:(fun b -> kill.(b))
         ~entry_fact:(Bitset.create n) ()
   in
-  { exprs; ids; inn = result.Dataflow.inn; kills }
+  { exprs; ids; inn = result.Dataflow.inn; kill_set }
 
 (* Is [expr] available just before instruction [index] of block [bid]? *)
 let avail_at av proc ~bid ~index expr =
@@ -100,9 +97,7 @@ let avail_at av proc ~bid ~index expr =
     List.iteri
       (fun i instr ->
         if i < index then begin
-          Vec.iteri
-            (fun j ap -> if av.kills instr ap then Bitset.remove fact j)
-            av.exprs;
+          Bitset.diff_into ~dst:fact (av.kill_set instr);
           match instr with
           | Instr.Iload (v, ap) ->
             List.iter
@@ -126,10 +121,17 @@ let avail_at av proc ~bid ~index expr =
 
 (* Perfect-alias kill rule: only real register dependencies kill; stores and
    calls are assumed (optimistically) never to interfere. *)
-let perfect_kills instr ap =
-  match Instr.defined_var instr with
-  | Some v -> List.exists (Reg.var_equal v) (Apath.vars_used ap)
-  | None -> false
+let perfect_kills exprs instr =
+  let s = Bitset.create (Array.length exprs) in
+  (match Instr.defined_var instr with
+  | Some v ->
+    Array.iteri
+      (fun i ap ->
+        if List.exists (Reg.var_equal v) (Apath.vars_used ap) then
+          Bitset.add s i)
+      exprs
+  | None -> ());
+  s
 
 let classify program oracle modref limit : breakdown =
   let counts = Hashtbl.create 8 in
@@ -155,7 +157,9 @@ let classify program oracle modref limit : breakdown =
     | None ->
       let a =
         build_avail program.Cfg.tenv proc ~confluence:Dataflow.May
-          ~kills:(fun i ap -> Opt.Rle.instr_kills oracle modref i ap)
+          ~kills:(fun exprs ->
+            Opt.Mem_index.writes
+              (Opt.Mem_index.view (Opt.Mem_index.create oracle modref) exprs))
       in
       Hashtbl.replace may_cache key a;
       a
