@@ -1,47 +1,56 @@
 open Support
 open Minim3
 
+(* Integer-keyed tables probed on every optimizer query: a specialized
+   table skips the polymorphic hash. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 type ctx = {
   world : World.t;
   compat : Types.tid -> Types.tid -> bool;
   (* Pre-indexed facts: queries touch only the entries that can match,
      instead of scanning the whole occurrence lists per call. *)
-  by_field : (int, (Ident.t * Types.tid) list) Hashtbl.t;
+  by_field : (Ident.t * Types.tid) list Itbl.t;
       (* Ident.hash of field name -> (field, receiver type) occurrences *)
   elem_arrays : Types.tid list;  (* array types with an element address taken *)
-  var_ids : (int, unit) Hashtbl.t;  (* v_id of each address-taken variable *)
-  byref_tids : (int, unit) Hashtbl.t;  (* tids of by-reference formals *)
+  var_ids : unit Itbl.t;  (* v_id of each address-taken variable *)
+  byref_tids : unit Itbl.t;  (* tids of by-reference formals *)
 }
 
 let make ~facts ~world ~compat =
-  let by_field = Hashtbl.create 16 in
+  let by_field = Itbl.create 16 in
   List.iter
     (fun (fa : Facts.field_addr) ->
       let k = Ident.hash fa.Facts.fa_field in
-      let prev = try Hashtbl.find by_field k with Not_found -> [] in
-      Hashtbl.replace by_field k ((fa.Facts.fa_field, fa.Facts.fa_recv) :: prev))
+      let prev = try Itbl.find by_field k with Not_found -> [] in
+      Itbl.replace by_field k ((fa.Facts.fa_field, fa.Facts.fa_recv) :: prev))
     facts.Facts.field_addrs;
   let elem_arrays =
     List.map (fun (ea : Facts.elem_addr) -> ea.Facts.ea_array)
       facts.Facts.elem_addrs
   in
-  let var_ids = Hashtbl.create 16 in
+  let var_ids = Itbl.create 16 in
   List.iter
-    (fun (u : Ir.Reg.var) -> Hashtbl.replace var_ids u.Ir.Reg.v_id ())
+    (fun (u : Ir.Reg.var) -> Itbl.replace var_ids u.Ir.Reg.v_id ())
     facts.Facts.var_addrs;
-  let byref_tids = Hashtbl.create 16 in
+  let byref_tids = Itbl.create 16 in
   List.iter
-    (fun tid -> Hashtbl.replace byref_tids tid ())
+    (fun tid -> Itbl.replace byref_tids tid ())
     facts.Facts.byref_formal_tids;
   { world; compat; by_field; elem_arrays; var_ids; byref_tids }
 
 let open_world_hit ctx tid =
   match ctx.world with
   | World.Closed -> false
-  | World.Open -> Hashtbl.mem ctx.byref_tids tid
+  | World.Open -> Itbl.mem ctx.byref_tids tid
 
 let field_taken ctx f ~recv ~content =
-  (match Hashtbl.find_opt ctx.by_field (Ident.hash f) with
+  (match Itbl.find_opt ctx.by_field (Ident.hash f) with
   | None -> false
   | Some occs ->
     List.exists
@@ -54,4 +63,4 @@ let elem_taken ctx ~array_ty ~elem =
   || open_world_hit ctx elem
 
 let var_taken ctx v =
-  Hashtbl.mem ctx.var_ids v.Ir.Reg.v_id || open_world_hit ctx v.Ir.Reg.v_ty
+  Itbl.mem ctx.var_ids v.Ir.Reg.v_id || open_world_hit ctx v.Ir.Reg.v_ty

@@ -26,9 +26,8 @@ open Tbaa
 (* Cells                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A cell and what its legs consult that is costly to rederive. Indexes
-   outlive the pass that builds them, so the derived path lists (each
-   computed once per row and cell) are not kept. *)
+(* A cell, as the index keeps it for as long as it lives: its path, its
+   base slot (interning it costs a table probe) and its store class. *)
 type cell = {
   c_path : Apath.t;
   c_base : Apath.t;  (* the base variable's slot, as a path *)
@@ -38,23 +37,29 @@ type cell = {
 let make_cell ap =
   { c_path = ap; c_base = Apath.of_var (Apath.base ap); c_class = None }
 
-(* The variables the path reads (base and indices). *)
-let vars c = Apath.vars_used c.c_path
+(* What the legs consult about a cell: derived once per view, and dropped
+   with it, so retained indexes stay small. *)
+type shape = {
+  s_cell : cell;
+  s_path : Apath.t;
+  s_vars : Reg.var list;  (* variables the path reads (base and indices) *)
+  s_prefixes : Apath.t list;  (* all prefixes with a selector, the path
+                                 included *)
+  s_all : Apath.t list;  (* base slot and prefixes: the locations whose
+                            contents the path's value depends on *)
+  s_proper : Apath.t list;  (* the prefixes the path navigates through *)
+  s_denote : Apath.t list;  (* base slot and proper prefixes: writing one
+                               changes which cell the path denotes *)
+  s_base : Apath.t;
+}
 
-(* All prefixes with a selector, the path included. *)
-let prefixes c = Apath.prefixes c.c_path
-
-(* The base slot and every prefix: the locations whose contents the
-   path's value depends on. *)
-let all c = c.c_base :: prefixes c
-
-(* The prefixes the path navigates through, without the path itself. *)
-let proper c =
-  List.filter (fun r -> not (Apath.equal r c.c_path)) (prefixes c)
-
-(* The base slot and the proper prefixes: writing one of these changes
-   which cell the path denotes. *)
-let denote c = c.c_base :: proper c
+let shape c =
+  let ap = c.c_path in
+  let prefixes = Apath.prefixes ap in
+  let proper = List.filter (fun r -> not (Apath.equal r ap)) prefixes in
+  { s_cell = c; s_path = ap; s_vars = Apath.vars_used ap;
+    s_prefixes = prefixes; s_all = c.c_base :: prefixes; s_proper = proper;
+    s_denote = c.c_base :: proper; s_base = c.c_base }
 
 (* ------------------------------------------------------------------ *)
 (* Rows                                                                *)
@@ -66,19 +71,11 @@ type witness = Apath.t * Apath.t * bool
    returns the answer. *)
 type note = Apath.t -> Apath.t -> bool -> bool
 
-(* A row's answers take two bits per cell — known, then yes — four cells
-   to a byte. A row keeps no closure (its leg's test is rebuilt when an
-   answer is missing), so a retained row holds on to no oracle cache. *)
-type row = {
-  mutable state : Bytes.t;
-  mutable wits : witness list array;  (* per cell; [||] without witnesses *)
-}
-
 (* A leg: its row key and its test, built only when the row is. The key
    packs a tag with the ids of the fact the leg depends on (a variable or
    path id, or a call target's name id and receiver type) into one int,
    so the tables probe on integer compares alone. *)
-type leg = { key : int; make : unit -> note -> cell -> bool }
+type leg = { key : int; make : unit -> note -> shape -> bool }
 
 let key tag a b = a lor (b lsl 30) lor (tag lsl 56)
 
@@ -94,19 +91,25 @@ type t = {
       (* forced only when an answer is missing: a pass whose answers are
          all known never builds its oracle cache *)
   addr_taken_var : Reg.var -> bool;
-  resident : bool Itbl.t;  (* memory_resident, per variable id *)
   modref : Modref.t;
   witnesses : bool;
   ids : int Apath.Tbl.t;
   cells : cell Vec.t;
-  rows : row Itbl.t;
+  rows : Bytes.t Itbl.t;
+      (* leg key -> the leg's answers, two bits per cell (known, then
+         yes), four cells to a byte. Rows keep no closure — a leg's test
+         is rebuilt when an answer is missing — so a retained index holds
+         on to no oracle cache. *)
+  wits : witness list array Itbl.t;
+      (* leg key -> per cell, the oracle answers behind the row's bit;
+         kept only with [witnesses] *)
 }
 
 let create ?(witnesses = false) oracle modref =
   { oracle = Lazy.from_val oracle;
-    addr_taken_var = oracle.Oracle.addr_taken_var; resident = Itbl.create 16;
-    modref; witnesses; ids = Apath.Tbl.create 8; cells = Vec.create ();
-    rows = Itbl.create 8 }
+    addr_taken_var = oracle.Oracle.addr_taken_var; modref; witnesses;
+    ids = Apath.Tbl.create 8; cells = Vec.create (); rows = Itbl.create 8;
+    wits = Itbl.create 1 }
 
 let oracle t = Lazy.force t.oracle
 let set_oracle t o = t.oracle <- o
@@ -122,14 +125,10 @@ let cell t ap =
     c
 
 let memory_resident t (v : Reg.var) =
-  match Itbl.find_opt t.resident v.Reg.v_id with
-  | Some r -> r
-  | None ->
-    let r = v.Reg.v_kind = Reg.Vglobal || t.addr_taken_var v in
-    Itbl.add t.resident v.Reg.v_id r;
-    r
+  v.Reg.v_kind = Reg.Vglobal || t.addr_taken_var v
 
-let store_class t c =
+let store_class t s =
+  let c = s.s_cell in
   match c.c_class with
   | Some k -> k
   | None ->
@@ -137,38 +136,45 @@ let store_class t c =
     c.c_class <- Some k;
     k
 
-let row t leg =
-  match Itbl.find_opt t.rows leg.key with
-  | Some r -> r
-  | None ->
-    let n = max 4 ((Vec.length t.cells + 3) lsr 2) in
-    let r =
-      { state = Bytes.make n '\000';
-        wits = (if t.witnesses then Array.make (4 * n) [] else [||]) }
-    in
-    Itbl.add t.rows leg.key r;
+(* Keys of read legs carry tags from 4 up (see the legs below). *)
+let is_read key = key lsr 56 >= 4
+
+let release t o =
+  t.oracle <- Lazy.from_val o;
+  let writes_only k x = if is_read k then None else Some x in
+  Itbl.filter_map_inplace writes_only t.rows;
+  Itbl.filter_map_inplace writes_only t.wits;
+  Itbl.length t.rows > 0
+
+(* The leg's row (and witnesses), grown to cover every cell interned so
+   far. *)
+let row t key =
+  let n = (Vec.length t.cells + 3) lsr 2 in
+  match Itbl.find_opt t.rows key with
+  | Some r when Bytes.length r >= n -> r
+  | found ->
+    let r = Bytes.make n '\000' in
+    Option.iter (fun old -> Bytes.blit old 0 r 0 (Bytes.length old)) found;
+    Itbl.replace t.rows key r;
     r
 
-(* The row's answer for cell [c], computed (and its witnesses kept) on
-   first request. *)
-let bit t row test c =
-  let len = Bytes.length row.state in
+let row_witnesses t key =
+  let n = Vec.length t.cells in
+  match Itbl.find_opt t.wits key with
+  | Some w when Array.length w >= n -> w
+  | found ->
+    let w = Array.make n [] in
+    Option.iter (fun old -> Array.blit old 0 w 0 (Array.length old)) found;
+    Itbl.replace t.wits key w;
+    w
+
+(* The row's answer for cell [c] (of shape [sh]), computed (and its
+   witnesses kept) on first request. *)
+let bit t row wits test c sh =
   let byte = c lsr 2 and shift = (c land 3) lsl 1 in
-  if byte >= len then begin
-    let n = max ((Vec.length t.cells + 3) lsr 2) (2 * len) in
-    let state = Bytes.make n '\000' in
-    Bytes.blit row.state 0 state 0 len;
-    row.state <- state;
-    if t.witnesses then begin
-      let wits = Array.make (4 * n) [] in
-      Array.blit row.wits 0 wits 0 (Array.length row.wits);
-      row.wits <- wits
-    end
-  end;
-  let s = Char.code (Bytes.unsafe_get row.state byte) in
+  let s = Char.code (Bytes.unsafe_get row byte) in
   if s land (1 lsl shift) <> 0 then s land (2 lsl shift) <> 0
   else begin
-    let cl = Vec.get t.cells c in
     let ans =
       if t.witnesses then begin
         let seen = ref [] in
@@ -177,15 +183,15 @@ let bit t row test c =
             (fun p1 p2 a ->
               seen := (p1, p2, a) :: !seen;
               a)
-            cl
+            sh
         in
-        row.wits.(c) <- !seen;
+        wits.(c) <- !seen;
         ans
       end
-      else Lazy.force test (fun _ _ a -> a) cl
+      else Lazy.force test (fun _ _ a -> a) sh
     in
-    let s = s lor ((if ans then 3 else 1) lsl shift) in
-    Bytes.unsafe_set row.state byte (Char.unsafe_chr s);
+    Bytes.unsafe_set row byte
+      (Char.unsafe_chr (s lor ((if ans then 3 else 1) lsl shift)));
     ans
   end
 
@@ -197,7 +203,7 @@ let target_key tag = function
   | Instr.Cdirect p -> key tag (Ident.id p) 0
   | Instr.Cvirtual (m, recv) -> key (tag + 1) (Ident.id m) recv
 
-let reads_var (v : Reg.var) c = List.exists (Reg.var_equal v) (vars c)
+let reads_var (v : Reg.var) s = List.exists (Reg.var_equal v) s.s_vars
 
 (* Write legs: may the fact change the value a cell's path reads?
 
@@ -220,7 +226,7 @@ let def_write t (v : Reg.var) =
           reads_var v c
           || List.exists
                (fun p -> note vpath p (o.Oracle.class_kills cls p))
-               (all c)) }
+               c.s_all) }
 
 let store_write t sap =
   { key = key 1 (Apath.id sap) 0;
@@ -231,15 +237,15 @@ let store_write t sap =
         fun note c ->
           List.exists
             (fun prefix -> note sap prefix (o.Oracle.may_alias sap prefix))
-            (prefixes c)
-          || note sap c.c_base (o.Oracle.class_kills scls c.c_base)) }
+            c.s_prefixes
+          || note sap c.s_base (o.Oracle.class_kills scls c.s_base)) }
 
 let call_write t target =
   { key = target_key 2 target;
     make =
       (fun () ->
         let cp = Modref.call_kill_pred t.modref (oracle t) target in
-        fun _ c -> cp (all c)) }
+        fun _ c -> cp c.s_all) }
 
 (* Read legs: may the fact read the cell a path denotes, or change which
    cell that is? (Writing the cell itself is not a read: a later store to
@@ -267,7 +273,7 @@ let def_read t (v : Reg.var) =
           reads_var v c
           || List.exists
                (fun p -> note vp p (o.Oracle.class_kills cls p))
-               (denote c)) }
+               c.s_denote) }
 
 let reg_read t (v : Reg.var) =
   { key = key 5 v.Reg.v_id 0;
@@ -276,10 +282,10 @@ let reg_read t (v : Reg.var) =
         let vp = Apath.of_var v in
         let o = oracle t in
         fun note c ->
-          note c.c_path vp (o.Oracle.class_kills (store_class t c) vp)) }
+          note c.s_path vp (o.Oracle.class_kills (store_class t c) vp)) }
 
 let reads_any (o : Oracle.t) qs note c =
-  List.exists (fun q -> note c.c_path q (o.Oracle.may_alias c.c_path q)) qs
+  List.exists (fun q -> note c.s_path q (o.Oracle.may_alias c.s_path q)) qs
 
 let load_read t lp =
   { key = key 6 (Apath.id lp) 0;
@@ -299,8 +305,8 @@ let store_read t q =
         let o = oracle t in
         let scls = o.Oracle.store_class q in
         fun note c ->
-          List.exists (fun p -> note q p (o.Oracle.may_alias q p)) (proper c)
-          || note q c.c_base (o.Oracle.class_kills scls c.c_base)) }
+          List.exists (fun p -> note q p (o.Oracle.may_alias q p)) c.s_proper
+          || note q c.s_base (o.Oracle.class_kills scls c.s_base)) }
 
 let call_read t target =
   { key = target_key 9 target;
@@ -308,7 +314,7 @@ let call_read t target =
       (fun () ->
         let rp = Modref.call_ref_pred t.modref (oracle t) target in
         let kp = Modref.call_kill_pred t.modref (oracle t) target in
-        fun _ c -> rp [ c.c_path ] || kp (denote c)) }
+        fun _ c -> rp [ c.s_path ] || kp c.s_denote) }
 
 (* ------------------------------------------------------------------ *)
 (* Client views                                                        *)
@@ -321,10 +327,11 @@ let call_read t target =
 type view = {
   v_index : t;
   v_cells : int array;
+  v_shapes : shape array;  (* parallel to [v_cells] *)
   v_claims : Claims.t option;
   v_kind : string option;
   v_legs : Bitset.t Itbl.t;
-  v_by_var : int list Itbl.t;  (* var id -> positions whose path reads it *)
+  v_by_var : Bitset.t Itbl.t;  (* var id -> positions whose path reads it *)
   v_empty : Bitset.t;
 }
 
@@ -332,17 +339,28 @@ let view ?claims ?kind t paths =
   if claims <> None && not t.witnesses then
     invalid_arg "Mem_index.view: a ledger needs an index built with witnesses";
   let cells = Array.map (cell t) paths in
+  let shapes = Array.map (fun c -> shape (Vec.get t.cells c)) cells in
+  let n = Array.length cells in
   let by_var = Itbl.create 16 in
-  for j = Array.length cells - 1 downto 0 do
-    List.iter
-      (fun (v : Reg.var) ->
-        Itbl.replace by_var v.Reg.v_id
-          (j :: Option.value (Itbl.find_opt by_var v.Reg.v_id) ~default:[]))
-      (vars (Vec.get t.cells cells.(j)))
-  done;
-  { v_index = t; v_cells = cells; v_claims = claims; v_kind = kind;
+  Array.iteri
+    (fun j sh ->
+      List.iter
+        (fun (v : Reg.var) ->
+          let s =
+            match Itbl.find_opt by_var v.Reg.v_id with
+            | Some s -> s
+            | None ->
+              let s = Bitset.create n in
+              Itbl.add by_var v.Reg.v_id s;
+              s
+          in
+          Bitset.add s j)
+        sh.s_vars)
+    shapes;
+  { v_index = t; v_cells = cells; v_shapes = shapes; v_claims = claims;
+    v_kind = kind;
     v_legs = Itbl.create 16; v_by_var = by_var;
-    v_empty = Bitset.create (Array.length cells) }
+    v_empty = Bitset.create n }
 
 let size v = Array.length v.v_cells
 
@@ -354,17 +372,20 @@ let leg_set v leg =
   | Some s -> s
   | None ->
     let t = v.v_index in
-    let r = row t leg in
+    let r = row t leg.key in
+    let w = if t.witnesses then row_witnesses t leg.key else [||] in
     let test = lazy (leg.make ()) in
     let s = Bitset.create (Array.length v.v_cells) in
-    Array.iteri (fun j c -> if bit t r test c then Bitset.add s j) v.v_cells;
+    Array.iteri
+      (fun j c -> if bit t r w test c v.v_shapes.(j) then Bitset.add s j)
+      v.v_cells;
     (match v.v_claims with
     | Some claims ->
       Array.iter
         (fun c ->
           List.iter
             (fun (p1, p2, a) -> Claims.record ?kind:v.v_kind claims p1 p2 a)
-            r.wits.(c))
+            w.(c))
         v.v_cells
     | None -> ());
     let s = if Bitset.is_empty s then v.v_empty else s in
@@ -382,27 +403,11 @@ let union v sets =
     List.iter (Bitset.union_into ~dst:u) rest;
     u
 
-(* A variable's leg, memoized per variable under its leg key: the leg's
-   row for a memory-resident variable, [register] otherwise. *)
-let var_set v leg ~register (d : Reg.var) =
-  let l = leg v.v_index d in
-  match Itbl.find_opt v.v_legs l.key with
-  | Some s -> s
-  | None ->
-    if memory_resident v.v_index d then leg_set v l
-    else begin
-      let s = register d in
-      Itbl.add v.v_legs l.key s;
-      s
-    end
-
-(* A definition of a register-resident variable changes exactly the
-   cells whose path reads it. *)
-let def_set v leg =
-  var_set v leg ~register:(fun d ->
-      match Itbl.find_opt v.v_by_var d.Reg.v_id with
-      | None -> v.v_empty
-      | Some js -> Bitset.of_list (Array.length v.v_cells) js)
+(* A definition's leg: the row for a memory-resident variable; for a
+   register-resident one, exactly the cells whose path reads it. *)
+let def_set v leg (d : Reg.var) =
+  if memory_resident v.v_index d then leg_set v (leg v.v_index d)
+  else Option.value (Itbl.find_opt v.v_by_var d.Reg.v_id) ~default:v.v_empty
 
 let writes v instr =
   let t = v.v_index in
@@ -419,16 +424,6 @@ let writes v instr =
 
 let reads v instr =
   let t = v.v_index in
-  let def =
-    match Instr.defined_var instr with
-    | Some d -> [ def_set v def_read d ]
-    | None -> []
-  in
-  let regs =
-    List.map
-      (var_set v reg_read ~register:(fun _ -> v.v_empty))
-      (Instr.vars_used instr)
-  in
   let cells =
     match instr with
     | Instr.Iload (_, lp) -> [ leg_set v (load_read t lp) ]
@@ -438,7 +433,16 @@ let reads v instr =
     | Instr.Icall (_, target, _) -> [ leg_set v (call_read t target) ]
     | Instr.Iassign _ | Instr.Inew _ | Instr.Ibuiltin _ -> []
   in
-  union v (def @ regs @ cells)
+  (* Register reads of register-resident variables read no memory. *)
+  let regs =
+    List.fold_left
+      (fun acc u ->
+        if memory_resident t u then leg_set v (reg_read t u) :: acc else acc)
+      cells (Instr.vars_used instr)
+  in
+  match Instr.defined_var instr with
+  | Some d -> union v (def_set v def_read d :: regs)
+  | None -> union v regs
 
 let invariant ?claims ?kind t body paths =
   let positions = Apath.Tbl.create 16 in

@@ -35,6 +35,13 @@ val set_oracle : t -> Oracle.t Lazy.t -> unit
     oracle), so that a retained index does not keep a pass's cache alive.
     It is forced only if some answer is missing. *)
 
+val release : t -> Oracle.t -> bool
+(** End of a pass's run over the procedure: answer later questions
+    through [o] (the raw oracle, so the run's cache can die), and drop the
+    read answers, which serve one client within one pass, while the write
+    answers serve every client across passes. [false] when no answer is
+    left, so the index is not worth keeping. *)
+
 val modref : t -> Modref.t
 val witnesses : t -> bool
 

@@ -310,11 +310,11 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
         (* A run that rewrote the procedure invalidates the analysis when
            the pass ends, and every index with it: drop this one now
            rather than carry it through the rest of the pass. Otherwise
-           the cache dies with this run, and the retained index answers
-           any later question through the raw oracle until the next run
+           keep the index while it holds write answers; it answers any
+           later question through the raw oracle until the next run
            installs its own cache. *)
-        if outcomes.(i).Pass.mutated then slots.(i) <- None
-        else Mem_index.set_oracle index (Lazy.from_val raw)
+        if outcomes.(i).Pass.mutated || not (Mem_index.release index raw)
+        then slots.(i) <- None
       in
       if domains > 1 then begin
         Ir.Apath.set_concurrent true;
