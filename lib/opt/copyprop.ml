@@ -119,17 +119,27 @@ let run_proc program proc stats =
           if not (Reg.var_equal c v) then stats.replaced <- stats.replaced + 1;
           c
         in
+        (* Unchanged operands are returned as they are, so a path none of
+           whose variables changes is kept without re-interning it. *)
         let subst_atom = function
-          | Reg.Avar v -> Reg.Avar (subst_var v)
+          | Reg.Avar v as a ->
+            let c = subst_var v in
+            if Reg.var_equal c v then a else Reg.Avar c
           | a -> a
         in
         let subst_sel = function
-          | Apath.Sindex (a, t) -> Apath.Sindex (subst_atom a, t)
+          | Apath.Sindex (a, t) as s ->
+            let a' = subst_atom a in
+            if a' == a then s else Apath.Sindex (a', t)
           | s -> s
         in
         let subst_path (ap : Apath.t) =
-          Apath.make (subst_var (Apath.base ap))
-            (List.map subst_sel (Apath.sels ap))
+          let base = subst_var (Apath.base ap) in
+          let sels = Apath.sels ap in
+          let sels' = List.map subst_sel sels in
+          if Reg.var_equal base (Apath.base ap) && List.for_all2 ( == ) sels sels'
+          then ap
+          else Apath.make base sels'
         in
         let subst_rvalue = function
           | Instr.Ratom a -> Instr.Ratom (subst_atom a)

@@ -113,7 +113,6 @@ let create ?(witnesses = false) oracle modref =
 
 let oracle t = Lazy.force t.oracle
 let set_oracle t o = t.oracle <- o
-let modref t = t.modref
 let witnesses t = t.witnesses
 
 let cell t ap =
@@ -362,8 +361,6 @@ let view ?claims ?kind t paths =
     v_legs = Itbl.create 16; v_by_var = by_var;
     v_empty = Bitset.create n }
 
-let size v = Array.length v.v_cells
-
 (* A leg's row restricted to the view, in the view's numbering. The
    oracle answers behind every bit land in the view's ledger under its
    kind, once per view and leg. *)
@@ -455,6 +452,6 @@ let invariant ?claims ?kind t body paths =
       end)
     paths;
   let v = view ?claims ?kind t (Array.of_list (List.rev !order)) in
-  let killed = Bitset.create (size v) in
+  let killed = Bitset.create (Array.length v.v_cells) in
   List.iter (fun i -> Bitset.union_into ~dst:killed (writes v i)) body;
   fun p -> not (Bitset.mem killed (Apath.Tbl.find positions p))

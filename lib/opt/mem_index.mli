@@ -4,14 +4,17 @@
     and "may it read cell c, or change which cell c's path denotes?",
     where a cell is an access path. Answers come from the alias oracle and
     the interprocedural mod-ref summaries — this module is the only place
-    the optimizer's clients turn those into kill and read sets — and each
-    is computed at most once per (instruction facts, cell), however many
-    clients ask. RLE (hoisting and CSE), PRE, SLF, LICM, DSE and the
+    the optimizer's clients turn those into kill and read sets. An
+    instruction's effect is the union of legs (its definition, its store,
+    call, loads and register reads), each a function of one fact (a
+    variable, a path or a call target); each leg's answer for a cell is
+    computed at most once, however many instructions share the fact and
+    however many clients ask. RLE (hoisting and CSE), PRE, SLF, LICM, DSE and the
     limit-study classifier all derive their transfer sets from it.
 
     An index is valid for one analysis revision: the oracle and mod-ref it
-    was built over. Rewrites inside the procedure do not stale it (a row is
-    keyed by the facts of its instruction, not by its position), so the
+    was built over. Rewrites inside the procedure do not stale it (answers
+    are keyed by facts, not by instruction positions), so the
     pass manager shares one index per procedure across consecutive passes
     until the analysis is invalidated.
 
@@ -36,13 +39,12 @@ val set_oracle : t -> Oracle.t Lazy.t -> unit
     It is forced only if some answer is missing. *)
 
 val release : t -> Oracle.t -> bool
-(** End of a pass's run over the procedure: answer later questions
-    through [o] (the raw oracle, so the run's cache can die), and drop the
-    read answers, which serve one client within one pass, while the write
-    answers serve every client across passes. [false] when no answer is
-    left, so the index is not worth keeping. *)
+(** [release t o] ends a pass's run over the procedure: later questions
+    go through [o] (the raw oracle, so the run's cache can die), and the
+    read answers are dropped — they serve one client within one pass,
+    while the write answers serve every client across passes. [false]
+    when no answer is left, so the index is not worth keeping. *)
 
-val modref : t -> Modref.t
 val witnesses : t -> bool
 
 val memory_resident : t -> Ir.Reg.var -> bool
@@ -54,14 +56,12 @@ val memory_resident : t -> Ir.Reg.var -> bool
 type view
 (** A client's numbering of the cells it tracks: position [j] of the
     view stands for the [j]-th path it was built from (duplicates
-    allowed). Each instruction's set is materialized once per view. *)
+    allowed). Each leg's set is materialized once per view. *)
 
 val view : ?claims:Claims.t -> ?kind:string -> t -> Ir.Apath.t array -> view
 (** With [claims], every materialized set logs the oracle answers behind
     its bits under [kind] (default ["rle"]); the index must then have
     been created with [witnesses]. *)
-
-val size : view -> int
 
 val writes : view -> Ir.Instr.t -> Support.Bitset.t
 (** The view positions whose path the instruction may change the value

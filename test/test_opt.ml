@@ -1124,6 +1124,56 @@ let test_passmgr_cache_hit_rate () =
   Alcotest.(check bool) "cache hit rate above 50%" true
     (Tbaa.Oracle_cache.hit_rate c > 0.5)
 
+(* --- effect index -------------------------------------------------------- *)
+
+(* An index answers the same whatever asked it first: a view over an index
+   already warmed by another view (half the cells, in reverse order, so
+   rows grow and cell ids differ) and by every instruction's write and read
+   sets yields exactly what a fresh index asked about that one instruction
+   alone yields, for every instruction of every workload. *)
+let test_mem_index_shared_answers () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let program = Workloads.Workload.lower w in
+      let ctx = Opt.Pass.create () in
+      let oracle = Opt.Pass.oracle ctx program
+      and modref = Opt.Pass.modref ctx program in
+      List.iter
+        (fun (proc : Cfg.proc) ->
+          let paths = ref [] in
+          Cfg.iter_instrs proc (fun _ i ->
+              match i with
+              | Instr.Iload (_, ap) | Instr.Istore (ap, _) ->
+                paths := List.rev_append (Apath.prefixes ap) !paths
+              | _ -> ());
+          let paths = List.sort_uniq Apath.compare !paths in
+          let warmed = Opt.Mem_index.create oracle modref in
+          let half = List.filteri (fun k _ -> k mod 2 = 0) paths in
+          let warm = Opt.Mem_index.view warmed (Array.of_list (List.rev half)) in
+          Cfg.iter_instrs proc (fun _ i ->
+              ignore (Opt.Mem_index.writes warm i);
+              ignore (Opt.Mem_index.reads warm i));
+          let all = Array.of_list paths in
+          let shared = Opt.Mem_index.view warmed all in
+          let fresh () =
+            Opt.Mem_index.view (Opt.Mem_index.create oracle modref) all
+          in
+          Cfg.iter_instrs proc (fun _ i ->
+              let label what =
+                Format.asprintf "%s %s: %s {%a}" w.Workloads.Workload.name
+                  (Ident.name proc.Cfg.pr_name) what Instr.pp i
+              in
+              Alcotest.(check bool) (label "writes") true
+                (Bitset.equal
+                   (Opt.Mem_index.writes shared i)
+                   (Opt.Mem_index.writes (fresh ()) i));
+              Alcotest.(check bool) (label "reads") true
+                (Bitset.equal
+                   (Opt.Mem_index.reads shared i)
+                   (Opt.Mem_index.reads (fresh ()) i))))
+        program.Cfg.prog_procs)
+    Workloads.Suite.all
+
 let () =
   Alcotest.run "opt"
     [ ( "modref",
@@ -1171,6 +1221,9 @@ let () =
             test_dse_kept_by_prefix_store;
           Alcotest.test_case "kept by redirecting call" `Quick
             test_dse_kept_by_redirecting_call ] );
+      ( "effect index",
+        [ Alcotest.test_case "shared answers match a fresh index" `Quick
+            test_mem_index_shared_answers ] );
       ( "slf",
         [ Alcotest.test_case "forwards stored atom" `Quick
             test_slf_forwards_stored_atom;
