@@ -32,5 +32,5 @@ val run :
     explicit [modref] is supplied. *)
 
 val pass : Pass.t
-(** Runs over the context's cached oracle and engine-backed mod-ref view.
+(** Runs over the procedure's effect index ([Pass.pc_index]).
     [changed] and [mutated] iff any load was hoisted. Stats: [hoisted]. *)

@@ -46,6 +46,6 @@ val run : ?modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> 
     introduced — are logged for the dynamic soundness auditor. *)
 
 val pass : Pass.t
-(** Runs over the context's cached oracle (mod-ref computed internally
-    against it). [changed] iff any load was removed; always [mutated].
+(** Runs over the procedure's effect index ([Pass.pc_index]). [changed]
+    iff any load was removed; always [mutated].
     Stats: [hoisted], [eliminated], [shortened]. *)

@@ -25,6 +25,6 @@ val run :
     explicit [modref] is supplied. *)
 
 val pass : Pass.t
-(** Runs over the context's cached oracle and engine-backed mod-ref view.
+(** Runs over the procedure's effect index ([Pass.pc_index]).
     [changed] and [mutated] iff any load was forwarded. Stats:
     [forwarded]. *)
