@@ -12,11 +12,12 @@ open Tbaa
    introduce paths.
 
    An instruction's effect is the union of a few legs — its definition,
-   its store or call, its memory-resident register reads, its loads and
-   navigation reads — and each leg depends on one fact only: a variable,
+   its store or call, its memory-resident register reads, and each cell
+   it reads (the prefixes a load reads, the prefixes an address or a
+   store navigates) — and each leg depends on one fact only: a variable,
    a path or a call target. Rows hold one leg's answers across the cells,
-   so every instruction that stores through [p], loads [p] or calls [f]
-   shares one row, whatever its position: rewrites inside the procedure
+   so every instruction that stores through [p], reads cell [p] or calls
+   [f] shares one row, whatever its position: rewrites inside the procedure
    never stale a row, only a new analysis revision does, and the pass
    manager drops the index then. A definition of a register-resident
    variable needs no oracle at all (the cells whose path reads the
@@ -283,22 +284,19 @@ let reg_read t (v : Reg.var) =
         fun note c ->
           note c.s_path vp (o.Oracle.class_kills (store_class t c) vp)) }
 
-let reads_any (o : Oracle.t) qs note c =
-  List.exists (fun q -> note c.s_path q (o.Oracle.may_alias c.s_path q)) qs
-
-let load_read t lp =
-  { key = key 6 (Apath.id lp) 0;
-    make = (fun () -> reads_any (oracle t) (Apath.prefixes lp)) }
-
-let nav_read t q =
-  { key = key 7 (Apath.id q) 0;
+(* One memory cell an instruction reads: a load reads every prefix of its
+   path, an address computation or a store its navigation prefixes. The
+   leg is per cell read, not per instruction path, because loads share
+   prefixes far more often than whole paths. *)
+let cell_read t q =
+  { key = key 6 (Apath.id q) 0;
     make =
       (fun () ->
-        reads_any (oracle t)
-          (List.filter (fun r -> not (Apath.equal r q)) (Apath.prefixes q))) }
+        let o = oracle t in
+        fun note c -> note c.s_path q (o.Oracle.may_alias c.s_path q)) }
 
 let store_read t q =
-  { key = key 8 (Apath.id q) 0;
+  { key = key 7 (Apath.id q) 0;
     make =
       (fun () ->
         let o = oracle t in
@@ -308,7 +306,7 @@ let store_read t q =
           || note q c.s_base (o.Oracle.class_kills scls c.s_base)) }
 
 let call_read t target =
-  { key = target_key 9 target;
+  { key = target_key 8 target;
     make =
       (fun () ->
         let rp = Modref.call_ref_pred t.modref (oracle t) target in
@@ -421,12 +419,16 @@ let writes v instr =
 
 let reads v instr =
   let t = v.v_index in
+  let read_cells qs = List.map (fun q -> leg_set v (cell_read t q)) qs in
+  let navigated q =
+    List.filter (fun r -> not (Apath.equal r q)) (Apath.prefixes q)
+  in
   let cells =
     match instr with
-    | Instr.Iload (_, lp) -> [ leg_set v (load_read t lp) ]
-    | Instr.Iaddr (_, q) -> [ leg_set v (nav_read t q) ]
+    | Instr.Iload (_, lp) -> read_cells (Apath.prefixes lp)
+    | Instr.Iaddr (_, q) -> read_cells (navigated q)
     | Instr.Istore (q, _) ->
-      [ leg_set v (nav_read t q); leg_set v (store_read t q) ]
+      leg_set v (store_read t q) :: read_cells (navigated q)
     | Instr.Icall (_, target, _) -> [ leg_set v (call_read t target) ]
     | Instr.Iassign _ | Instr.Inew _ | Instr.Ibuiltin _ -> []
   in
