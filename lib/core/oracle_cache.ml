@@ -197,6 +197,8 @@ let wrap ?(counters = fresh_counters ()) ?log (oracle : Oracle.t) : Oracle.t =
      a row, so the path's abstraction (and its hash) is carried while the
      physically-same path repeats. *)
   let last_sc : (Apath.t * int) option ref = ref None in
+  (* Likewise a kill set probes one class against many paths in a row. *)
+  let last_cls : (Aloc.t * int) option ref = ref None in
   let class_kills cls ap =
     c.class_queries <- c.class_queries + 1;
     let scid =
@@ -207,7 +209,14 @@ let wrap ?(counters = fresh_counters ()) ?log (oracle : Oracle.t) : Oracle.t =
         last_sc := Some (ap, i);
         i
     in
-    let cid = Aloc.id cls in
+    let cid =
+      match !last_cls with
+      | Some (k, i) when k == cls -> i
+      | _ ->
+        let i = Aloc.id cls in
+        last_cls := Some (cls, i);
+        i
+    in
     let h = (cid * 31) + scid in
     match ptbl_find_bool class_tbl h cid scid with
     | 1 -> true
