@@ -515,6 +515,428 @@ let test_pp_escapes () =
   Alcotest.(check string) "escaped literals survive" o1.Sim.Interp.output
     o2.Sim.Interp.output
 
+(* --- front-end goldens ---------------------------------------------- *)
+
+(* Pinned on the lexer and parser as they stood before the single-pass
+   scanner replaced them: tokens, every AST node's location and every
+   diagnostic must come out byte-identical. A row changes only if the
+   front end's observable output does. *)
+
+let token_lines ~file src =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (tok, loc) ->
+      Buffer.add_string b (Token.to_string tok);
+      Buffer.add_char b ' ';
+      Buffer.add_string b (Loc.to_string loc);
+      Buffer.add_char b '\n')
+    (Lexer.tokenize ~file src);
+  Buffer.contents b
+
+(* One line per node: constructor, names and literal payloads, location. *)
+let ast_lines (m : Ast.module_) =
+  let b = Buffer.create 4096 in
+  let line loc fmt =
+    Printf.ksprintf
+      (fun s ->
+        Buffer.add_string b s;
+        Buffer.add_char b ' ';
+        Buffer.add_string b (Loc.to_string loc);
+        Buffer.add_char b '\n')
+      fmt
+  in
+  let id = Ident.name in
+  let opt f = function None -> () | Some x -> f x in
+  let rec ty (t : Ast.ty_expr) =
+    let l = t.Ast.t_loc in
+    match t.Ast.t_desc with
+    | Ast.Tname n -> line l "Tname %s" (id n)
+    | Ast.Tint -> line l "Tint"
+    | Ast.Tbool -> line l "Tbool"
+    | Ast.Tchar -> line l "Tchar"
+    | Ast.Troot -> line l "Troot"
+    | Ast.Tarray (n, e) ->
+      line l "Tarray %s" (match n with None -> "open" | Some n -> string_of_int n);
+      ty e
+    | Ast.Trecord fs ->
+      line l "Trecord";
+      List.iter field fs
+    | Ast.Tref (brand, e) ->
+      line l "Tref %s" (Option.value brand ~default:"-");
+      ty e
+    | Ast.Tobject o ->
+      line l "Tobject %s" (Option.value o.Ast.o_brand ~default:"-");
+      opt ty o.Ast.o_super;
+      List.iter field o.Ast.o_fields;
+      List.iter
+        (fun (md : Ast.method_decl) ->
+          line md.Ast.m_loc "method %s %s" (id md.Ast.m_name)
+            (match md.Ast.m_impl with None -> "-" | Some i -> id i);
+          List.iter param md.Ast.m_params;
+          opt ty md.Ast.m_ret)
+        o.Ast.o_methods;
+      List.iter (fun (n, i, l) -> line l "override %s %s" (id n) (id i))
+        o.Ast.o_overrides
+  and field (f : Ast.field_decl) =
+    line f.Ast.f_loc "field %s" (id f.Ast.f_name);
+    ty f.Ast.f_ty
+  and param (p : Ast.param_decl) =
+    line p.Ast.p_loc "param %s %s" (id p.Ast.p_name)
+      (match p.Ast.p_mode with Ast.By_value -> "value" | Ast.By_ref -> "var");
+    ty p.Ast.p_ty
+  in
+  let rec expr (e : Ast.expr) =
+    let l = e.Ast.e_loc in
+    match e.Ast.e_desc with
+    | Ast.Int_lit n -> line l "Int %d" n
+    | Ast.Bool_lit v -> line l "Bool %b" v
+    | Ast.Char_lit c -> line l "Char %C" c
+    | Ast.String_lit s -> line l "String %S" s
+    | Ast.Nil -> line l "Nil"
+    | Ast.Name n -> line l "Name %s" (id n)
+    | Ast.Field (x, f) ->
+      line l "Field %s" (id f);
+      expr x
+    | Ast.Deref x ->
+      line l "Deref";
+      expr x
+    | Ast.Index (x, i) ->
+      line l "Index";
+      expr x;
+      expr i
+    | Ast.Binop (op, x, y) ->
+      line l "Binop %s" (Ast.binop_to_string op);
+      expr x;
+      expr y
+    | Ast.Unop (op, x) ->
+      line l "Unop %s" (Ast.unop_to_string op);
+      expr x
+    | Ast.Call (f, args) ->
+      line l "Call %d" (List.length args);
+      expr f;
+      List.iter expr args
+    | Ast.New (t, args) ->
+      line l "New %d" (List.length args);
+      ty t;
+      List.iter expr args
+  in
+  let rec stmt (s : Ast.stmt) =
+    let l = s.Ast.s_loc in
+    match s.Ast.s_desc with
+    | Ast.Assign (x, y) ->
+      line l "Assign";
+      expr x;
+      expr y
+    | Ast.Call_stmt e ->
+      line l "Call_stmt";
+      expr e
+    | Ast.If (branches, else_) ->
+      line l "If %d" (List.length branches);
+      List.iter (fun (c, body) -> expr c; stmts body) branches;
+      stmts else_
+    | Ast.While (c, body) ->
+      line l "While";
+      expr c;
+      stmts body
+    | Ast.Repeat (body, c) ->
+      line l "Repeat";
+      stmts body;
+      expr c
+    | Ast.Loop body ->
+      line l "Loop";
+      stmts body
+    | Ast.For (v, lo, hi, step, body) ->
+      line l "For %s %d" (id v) step;
+      expr lo;
+      expr hi;
+      stmts body
+    | Ast.Exit -> line l "Exit"
+    | Ast.Return v ->
+      line l "Return";
+      opt expr v
+    | Ast.With (binds, body) ->
+      line l "With";
+      List.iter (fun (n, e) -> Buffer.add_string b ("bind " ^ id n ^ "\n"); expr e) binds;
+      stmts body
+  and stmts ss =
+    Buffer.add_string b "{\n";
+    List.iter stmt ss;
+    Buffer.add_string b "}\n"
+  in
+  let var (v : Ast.var_decl) =
+    line v.Ast.v_loc "var %s" (id v.Ast.v_name);
+    ty v.Ast.v_ty;
+    opt expr v.Ast.v_init
+  in
+  let const (c : Ast.const_decl) =
+    line c.Ast.c_loc "const %s" (id c.Ast.c_name);
+    expr c.Ast.c_value
+  in
+  line m.Ast.mod_loc "module %s" (id m.Ast.mod_name);
+  List.iter
+    (function
+      | Ast.Dtype (n, t, l) ->
+        line l "type %s" (id n);
+        ty t
+      | Ast.Dconst c -> const c
+      | Ast.Dvar v -> var v
+      | Ast.Dproc p ->
+        line p.Ast.pr_loc "proc %s" (id p.Ast.pr_name);
+        List.iter param p.Ast.pr_params;
+        opt ty p.Ast.pr_ret;
+        List.iter const p.Ast.pr_consts;
+        List.iter var p.Ast.pr_locals;
+        stmts p.Ast.pr_body)
+    m.Ast.mod_decls;
+  stmts m.Ast.mod_body;
+  Buffer.contents b
+
+let frontend_row name ~file srcs =
+  let toks = Buffer.create 4096 and ast = Buffer.create 4096 in
+  let n = ref 0 in
+  List.iter
+    (fun src ->
+      let t = token_lines ~file src in
+      n := !n + List.length (String.split_on_char '\n' t) - 1;
+      Buffer.add_string toks t;
+      Buffer.add_string ast (ast_lines (Parser.parse_module ~file src)))
+    srcs;
+  Printf.sprintf "%s: tokens=%d %s ast=%s" name !n
+    (Digest.to_hex (Digest.string (Buffer.contents toks)))
+    (Digest.to_hex (Digest.string (Buffer.contents ast)))
+
+(* Every token kind, with the spacing the workloads never use: CRLF and
+   tab layout, comments nested across lines, keywords glued to
+   identifiers, escapes, and two-character operators split by space. *)
+let lexemes =
+  "MODULE TYPE CONST VAR PROCEDURE BEGIN END IF THEN ELSE ELSIF WHILE DO\r\n\
+   FOR TO BY REPEAT UNTIL LOOP EXIT RETURN WITH OBJECT METHODS OVERRIDES\n\
+   \tRECORD ARRAY OF REF BRANDED NEW NIL TRUE FALSE ROOT DIV MOD AND OR NOT\n\
+   ENDx xEND _a1 a_b Z9 INTEGER BOOLEAN CHAR\n\
+   ;,:=:= =#<<=>>= +-*()[]^...... : = < = > = . .\n\
+   (* one (* two\n\
+   lines *) *)0 007 4611686018427387903(**)1\n\
+   'a' '\\n' '\\t' '\\\\' '\\'' '\"' ' '\t\"\" \"a\\\"b\\tc\\\\\" \"'\"\r\n\
+   x:=y^.f[3];(*trailing*)"
+
+let lexeme_row =
+  let t = token_lines ~file:"lex" lexemes in
+  Printf.sprintf "lexemes: tokens=%d %s"
+    (List.length (String.split_on_char '\n' t) - 1)
+    (Digest.to_hex (Digest.string t))
+
+let frontend_rows () =
+  List.map
+    (fun (w : Workloads.Workload.t) ->
+      frontend_row w.Workloads.Workload.name ~file:w.Workloads.Workload.name
+        [ w.Workloads.Workload.source ])
+    Workloads.Suite.all
+  @ [ lexeme_row; frontend_row "scale200" ~file:"scale200" [ Gen.Scale.source 200 ];
+      frontend_row "gen 1-50" ~file:"gen"
+        (List.init 50 (fun i -> (Gen.Generator.generate (i + 1)).Gen.Generator.source)) ]
+
+let expected_frontend_rows =
+  [ "format: tokens=885 d6b249dbeb19acd298c82d916f253288 ast=21e83af5622fcd48eb9dcd1c7697c51e";
+    "dformat: tokens=958 0c5dd0d4d89b2398695075af3d4d97d3 ast=44df7019638ee3a4623722a0b0471da9";
+    "write_pickle: tokens=1382 102b6329b4947f2cf680c9c5a4c74a52 ast=94a7c1a8fa58af77d0178e1f462a6f19";
+    "ktree: tokens=991 56e6e84847656914c250ff2e20fd3e54 ast=8a96dbbf8e4ee85b4c6610d10b152cba";
+    "slisp: tokens=1986 c4f62400b42e9d22f4e618e82db4a268 ast=06bbb11afcc8a1051e502b4d2fbcb6c7";
+    "pp: tokens=1091 ed059c59d4baf33752937ec31534c60f ast=398d96e0ca9d6088ca1dac639007e1b0";
+    "dom: tokens=822 fbecaf4ef2d97d34c19ae4169f76810b ast=9792da48b7afb20942a530cbdac210bc";
+    "postcard: tokens=941 eb569756bb681edce03eebe32f9797ea ast=71f03e684ebbad2838713ebe899245f7";
+    "m2tom3: tokens=860 5a779ad03605380335954fb10928e96c ast=288c189d981d62d29943ae66b4968978";
+    "m3cg: tokens=2218 b7d8066c1ea6763edda860b60675bee7 ast=ecf1eff8e96deb33298c8fb4da573fe6";
+    "lexemes: tokens=103 a0256d1a3a51750c924f4e394d87d7b0";
+    "scale200: tokens=12869 717418a0f0b166cbc23f250eeda7114d ast=3dc45671e3f3ac4d87b3170532b162b1";
+    "gen 1-50: tokens=123389 413ba46d1a5a44306ff8b16accd85056 ast=8e864e450fe833f7d21fd978303d958f" ]
+
+let test_golden_frontend () =
+  Alcotest.(check (list string)) "token and AST digests" expected_frontend_rows
+    (frontend_rows ())
+
+(* Malformed inputs: every lexer error, a spread of parser errors (the
+   lexer scans the whole unit first, so a lexical error anywhere wins over
+   an earlier syntax error), and the typechecker's recovery lists. *)
+let malformed =
+  [ ("comment", "MODULE M;\n(* open (* nested *) never closed\nBEGIN END M.");
+    ("comment eof", "(*");
+    ("string newline", "MODULE M;\nBEGIN\n  Print (\"abc\n\");\nEND M.");
+    ("string eof", "x := \"abc");
+    ("char eof", "c := 'a");
+    ("char quote", "c := 'ab';");
+    ("char empty", "c := '';");
+    ("char newline", "c := '\n';");
+    ("escape char", "c := '\\q';");
+    ("escape string", "\tPrint (\"a\\zb\");");
+    ("escape eof", "c := '\\");
+    ("int range", "MODULE M;\nCONST K = 99999999999999999999;\nBEGIN END M.");
+    ("int max", "x := 4611686018427387903; y := 4611686018427387904");
+    ("unexpected", "a ? b");
+    ("unexpected at", "MODULE M;\r\nBEGIN\r\n\tx := y @ z;\r\nEND M.");
+    ("unexpected brace", "{");
+    ("unexpected high byte", "x := \xc3\xa9;");
+    ("lex wins", "MODULE ; BEGIN END M.\n\n   ! ");
+    ("empty", "");
+    ("blank", "  \n\t (* only a comment *)\n");
+    ("no module", "BEGIN END M.");
+    ("missing semi", "MODULE M BEGIN END M.");
+    ("missing dot", "MODULE M; BEGIN END M");
+    ("end name", "MODULE M; BEGIN END N.");
+    ("proc end name", "MODULE M;\nPROCEDURE P () =\n  BEGIN\n  END Q;\nBEGIN END M.");
+    ("expected type", "MODULE M; VAR a: ; BEGIN END M.");
+    ("array lower", "MODULE M; TYPE A = ARRAY [1..3] OF INTEGER; BEGIN END M.");
+    ("array empty", "MODULE M; TYPE A = ARRAY [0..-1] OF INTEGER; BEGIN END M.");
+    ("array bound", "MODULE M; TYPE A = ARRAY [0..N] OF INTEGER; BEGIN END M.");
+    ("branded", "MODULE M; TYPE A = BRANDED \"b\" RECORD END; BEGIN END M.");
+    ("expr", "MODULE M;\nBEGIN\n  x := ;\nEND M.");
+    ("expr stmt", "MODULE M;\nBEGIN\n  x + 1;\nEND M.");
+    ("ident", "MODULE M; VAR : INTEGER; BEGIN END M.");
+    ("step", "MODULE M; BEGIN FOR i := 0 TO 9 BY k DO END; END M.");
+    ("step neg", "MODULE M; BEGIN FOR i := 0 TO 9 BY - k DO END; END M.");
+    ("then", "MODULE M; BEGIN IF x DO END; END M.");
+    ("until", "MODULE M; BEGIN REPEAT x := 1; END; END M.");
+    ("with", "MODULE M; BEGIN WITH a := b DO END; END M.");
+    ("method", "MODULE M; TYPE T = OBJECT METHODS m (x INTEGER); END; BEGIN END M.");
+    ("trailing", "MODULE M; BEGIN END M. x") ]
+
+let diag_line d = Diag.to_string d
+
+let malformed_lines () =
+  List.map
+    (fun (name, src) ->
+      match Parser.parse_module ~file:"bad" src with
+      | exception Diag.Compile_error d -> name ^ ": " ^ diag_line d
+      | _ -> name ^ ": parsed")
+    malformed
+  @ List.map
+      (fun src ->
+        match Parser.parse_expr_string src with
+        | exception Diag.Compile_error d -> "expr " ^ src ^ ": " ^ diag_line d
+        | _ -> "expr " ^ src ^ ": parsed")
+      [ "a b"; "a < b = c"; "(a"; "a.1"; "NEW (T"; "f (x,)" ]
+
+let expected_malformed =
+  [ "comment: bad:2:1: error: unterminated comment";
+    "comment eof: bad:1:1: error: unterminated comment";
+    "string newline: bad:3:10: error: unterminated string literal";
+    "string eof: bad:1:6: error: unterminated string literal";
+    "char eof: bad:1:6: error: character literal missing closing quote";
+    "char quote: bad:1:6: error: character literal missing closing quote";
+    "char empty: bad:1:6: error: malformed character literal";
+    "char newline: bad:1:1: error: expected 'MODULE' (found 'c')";
+    "escape char: bad:1:6: error: unknown escape '\\q'";
+    "escape string: bad:1:9: error: unknown escape '\\z'";
+    "escape eof: bad:1:6: error: unterminated escape";
+    "int range: bad:2:31: error: integer literal out of range: 99999999999999999999";
+    "int max: bad:1:51: error: integer literal out of range: 4611686018427387904";
+    "unexpected: bad:1:3: error: unexpected character '?'";
+    "unexpected at: bad:3:9: error: unexpected character '@'";
+    "unexpected brace: bad:1:1: error: unexpected character '{'";
+    "unexpected high byte: bad:1:6: error: unexpected character '\xc3'";
+    "lex wins: bad:3:4: error: unexpected character '!'";
+    "empty: bad:1:1: error: expected 'MODULE' (found '<eof>')";
+    "blank: bad:3:1: error: expected 'MODULE' (found '<eof>')";
+    "no module: bad:1:1: error: expected 'MODULE' (found 'BEGIN')";
+    "missing semi: bad:1:10: error: expected ';' (found 'BEGIN')";
+    "missing dot: bad:1:22: error: expected '.' (found '<eof>')";
+    "end name: bad:1:22: error: module ends with 'N', expected 'M'";
+    "proc end name: bad:4:8: error: procedure ends with 'Q', expected 'P'";
+    "expected type: bad:1:18: error: expected a type (found ';')";
+    "array lower: bad:1:20: error: array lower bound must be 0";
+    "array empty: bad:1:30: error: expected array upper bound (found '-')";
+    "array bound: bad:1:30: error: expected array upper bound (found 'N')";
+    "branded: bad:1:32: error: expected REF or OBJECT after BRANDED (found 'RECORD')";
+    "expr: bad:3:8: error: expected an expression (found ';')";
+    "expr stmt: bad:3:3: error: expression statement must be a call";
+    "ident: bad:1:15: error: expected 'END' (found ':')";
+    "step: bad:1:36: error: expected step constant (found 'k')";
+    "step neg: bad:1:38: error: expected step constant (found 'k')";
+    "then: bad:1:22: error: expected 'THEN' (found 'DO')";
+    "until: bad:1:32: error: expected 'UNTIL' (found 'END')";
+    "with: bad:1:24: error: expected '=' (found ':=')";
+    "method: bad:1:40: error: expected ':' (found 'INTEGER')";
+    "trailing: parsed";
+    "expr a b: <expr>:1:3: error: trailing tokens (found 'b')";
+    "expr a < b = c: <expr>:1:7: error: trailing tokens (found '=')";
+    "expr (a: <expr>:1:3: error: expected ')' (found '<eof>')";
+    "expr a.1: <expr>:1:3: error: expected identifier (found '1')";
+    "expr NEW (T: <expr>:1:7: error: expected ')' (found '<eof>')";
+    "expr f (x,): <expr>:1:6: error: expected an expression (found ')')" ]
+
+let test_golden_malformed () =
+  Alcotest.(check (list string)) "diagnostics" expected_malformed
+    (malformed_lines ())
+
+let recovery =
+  [ {|MODULE R;
+TYPE T = OBJECT f: INTEGER; END; U = RECORD a, a: INTEGER; END;
+VAR t: T; b: BOOLEAN; v: Missing;
+PROCEDURE P (x: INTEGER): INTEGER =
+  VAR y: BOOLEAN;
+  BEGIN
+    y := x;
+    t.g := 1;
+    RETURN y;
+  END P;
+PROCEDURE P () = BEGIN END P;
+BEGIN
+  b := 1 + TRUE;
+  EXIT;
+  Q ();
+  t := NIL;
+  P (1, 2);
+END R.
+|};
+    {|MODULE S;
+CONST K = 1 DIV 0; J = x;
+VAR a: ARRAY [0..3] OF INTEGER; r: REF RECORD f: CHAR; END;
+BEGIN
+  a := a;
+  r.f := 1;
+  r^.g := 'c';
+  WITH w = 3 DO w := 4; END;
+  FOR i := 0 TO 3 DO i := 1; END;
+  a[TRUE] := 0;
+END S.
+|};
+    "MODULE Z; BEGIN x := ; END Z." ]
+
+let recovery_lines () =
+  List.concat_map
+    (fun src ->
+      match Typecheck.check_string_all ~file:"rec" src with
+      | Ok _ -> [ "ok" ]
+      | Error ds -> "--" :: List.map diag_line ds)
+    recovery
+
+let expected_recovery =
+  [ "--";
+    "rec:2:45: error: duplicate field 'a'";
+    "rec:3:26: error: unknown type 'Missing'";
+    "rec:11:1: error: duplicate procedure 'P'";
+    "rec:7:5: error: cannot assign INTEGER to BOOLEAN";
+    "rec:8:6: error: type T has no field 'g'";
+    "rec:9:5: error: RETURN type BOOLEAN does not match INTEGER";
+    "rec:13:8: error: arithmetic needs INTEGER operands";
+    "rec:14:3: error: EXIT outside of a loop";
+    "rec:15:5: error: unknown procedure 'Q'";
+    "rec:17:5: error: P expects 1 argument(s), got 2";
+    "--";
+    "rec:2:11: error: constant division by zero";
+    "rec:2:24: error: 'x' is not a constant";
+    "rec:5:3: error: aggregate assignment is not supported (assign components instead)";
+    "rec:6:3: error: cannot assign INTEGER to CHAR";
+    "rec:7:5: error: type RECORD f: CHAR END has no field 'g'";
+    "rec:8:17: error: 'w' is read-only here";
+    "rec:9:22: error: 'i' is read-only here";
+    "rec:10:4: error: array index must be an INTEGER";
+    "--";
+    "rec:1:22: error: expected an expression (found ';')" ]
+
+let test_golden_recovery () =
+  Alcotest.(check (list string)) "recovery lists" expected_recovery
+    (recovery_lines ())
+
 let () =
   Alcotest.run "frontend"
     [ ( "lexer",
@@ -556,4 +978,8 @@ let () =
           Alcotest.test_case "arity" `Quick test_check_arity ] );
       ( "printer",
         [ Alcotest.test_case "workload round trips" `Slow test_pp_roundtrip_workloads;
-          Alcotest.test_case "escapes" `Quick test_pp_escapes ] ) ]
+          Alcotest.test_case "escapes" `Quick test_pp_escapes ] );
+      ( "golden",
+        [ Alcotest.test_case "tokens and AST" `Quick test_golden_frontend;
+          Alcotest.test_case "malformed inputs" `Quick test_golden_malformed;
+          Alcotest.test_case "recovery lists" `Quick test_golden_recovery ] ) ]
