@@ -10,7 +10,7 @@ open Minim3
    - {!subtyping}: the paper's [Subtypes(t1) ∩ Subtypes(t2) ≠ ∅] for a
      subtype *forest* holds exactly when one type is an ancestor of the
      other, which an Euler-tour interval labeling answers with two array
-     reads and two comparisons — no [super_chain] list is built per query.
+     reads and two comparisons — no walk up the inheritance chain per query.
 
    - {!of_rows}: a dense tid-indexed adjacency matrix of bitset rows
      (SMFieldTypeRefs precomputes [TypeRefsTable(t1) ∩ TypeRefsTable(t2) ≠ ∅]

@@ -1,180 +1,299 @@
 open Support
 
+(* The token stream. Slot [i] of [toks], [lcs] and [name_ix] describe
+   token [i]; arrays may be longer than [count]. A source position is
+   packed as [line lsl col_bits lor col]. Identifiers and keywords go
+   through one spelling table per scan, so every occurrence of a name
+   shares one [IDENT] value and the parser interns each distinct name at
+   most once (see {!ident}). *)
 type t = {
   file : string;
-  src : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable bol : int;  (* offset of the start of the current line *)
+  toks : Token.t array;
+  lcs : int array;
+  name_ix : int array;  (* IDENT tokens: index into [names] *)
+  count : int;
+  names : string array;  (* distinct spellings, keywords included *)
+  idents : Ident.t option array;  (* [names.(k)] once interned *)
 }
 
-let create ~file src = { file; src; pos = 0; line = 1; bol = 0 }
+let col_bits = 32
+let col_mask = (1 lsl col_bits) - 1
 
-let loc t = Loc.make ~file:t.file ~line:t.line ~col:(t.pos - t.bol + 1)
+let count t = t.count
+let token t i = t.toks.(i)
+let line t i = t.lcs.(i) lsr col_bits
+let col t i = t.lcs.(i) land col_mask
+let loc t i = Loc.make ~file:t.file ~line:(line t i) ~col:(col t i)
 
-let peek t = if t.pos < String.length t.src then Some t.src.[t.pos] else None
+let ident t i =
+  let k = t.name_ix.(i) in
+  match t.idents.(k) with
+  | Some id -> id
+  | None ->
+    let id = Ident.intern t.names.(k) in
+    t.idents.(k) <- Some id;
+    id
 
-let peek2 t =
-  if t.pos + 1 < String.length t.src then Some t.src.[t.pos + 1] else None
+let to_list t = List.init t.count (fun i -> (token t i, loc t i))
 
-let advance t =
-  (match peek t with
-  | Some '\n' ->
-    t.line <- t.line + 1;
-    t.bol <- t.pos + 1
-  | _ -> ());
-  t.pos <- t.pos + 1
+let err file line col fmt = Diag.errorf_at (Loc.make ~file ~line ~col) fmt
+
+(* ------------------------------------------------------------------ *)
+(* Spelling table: open addressing over slices of the source, so a     *)
+(* name already seen costs a hash and a compare, and no allocation.    *)
+(* ------------------------------------------------------------------ *)
+
+type spellings = {
+  mutable slots : int array;  (* entry index, or -1 *)
+  mutable ent_str : string array;
+  mutable ent_tok : Token.t array;
+  mutable ent_hash : int array;
+  mutable n_ent : int;
+}
+
+let hash_step h c = (h * 31) + Char.code c
+
+let rec same_from src start s k =
+  k = String.length s
+  || (String.unsafe_get src (start + k) = String.unsafe_get s k
+      && same_from src start s (k + 1))
+
+let slice_is src start len s = String.length s = len && same_from src start s 0
+
+let rec free_slot slots j =
+  if slots.(j) < 0 then j else free_slot slots ((j + 1) land (Array.length slots - 1))
+
+let slot_for slots h = free_slot slots (h land (Array.length slots - 1))
+
+let add sp s h tok =
+  let k = sp.n_ent in
+  if k = Array.length sp.ent_str then begin
+    let grow a x = Array.append a (Array.make (Array.length a) x) in
+    sp.ent_str <- grow sp.ent_str "";
+    sp.ent_tok <- grow sp.ent_tok Token.EOF;
+    sp.ent_hash <- grow sp.ent_hash 0
+  end;
+  sp.ent_str.(k) <- s;
+  sp.ent_tok.(k) <- tok;
+  sp.ent_hash.(k) <- h;
+  sp.n_ent <- k + 1;
+  if 2 * sp.n_ent > Array.length sp.slots then begin
+    let slots = Array.make (2 * Array.length sp.slots) (-1) in
+    for e = 0 to sp.n_ent - 1 do
+      slots.(slot_for slots sp.ent_hash.(e)) <- e
+    done;
+    sp.slots <- slots
+  end
+  else sp.slots.(slot_for sp.slots h) <- k;
+  k
+
+let spellings () =
+  let sp =
+    { slots = Array.make 256 (-1); ent_str = Array.make 64 "";
+      ent_tok = Array.make 64 Token.EOF; ent_hash = Array.make 64 0; n_ent = 0 }
+  in
+  List.iter
+    (fun (s, tok) -> ignore (add sp s (String.fold_left hash_step 0 s) tok))
+    Token.keyword_table;
+  sp
+
+(* The entry for the word [src.[start .. start+len-1]] whose hash is
+   [h], added as an identifier if new; probing starts at slot [j]. *)
+let rec spelling sp src start len h j =
+  let k = sp.slots.(j) in
+  if k < 0 then begin
+    let s = String.sub src start len in
+    add sp s h (Token.IDENT s)
+  end
+  else if sp.ent_hash.(k) = h && slice_is src start len sp.ent_str.(k) then k
+  else spelling sp src start len h ((j + 1) land (Array.length sp.slots - 1))
+
+(* ------------------------------------------------------------------ *)
+(* Scanner                                                             *)
+(* ------------------------------------------------------------------ *)
+
+type out = {
+  mutable o_toks : Token.t array;
+  mutable o_lcs : int array;
+  mutable o_names : int array;
+  mutable n : int;
+}
+
+let push o tok line col name =
+  let n = o.n in
+  if n = Array.length o.o_toks then begin
+    let grow a x = Array.append a (Array.make (Array.length a) x) in
+    o.o_toks <- grow o.o_toks Token.EOF;
+    o.o_lcs <- grow o.o_lcs 0;
+    o.o_names <- grow o.o_names 0
+  end;
+  Array.unsafe_set o.o_toks n tok;
+  Array.unsafe_set o.o_lcs n ((line lsl col_bits) lor col);
+  Array.unsafe_set o.o_names n name;
+  o.n <- n + 1
+
+(* The character after a backslash, at [src.[i]]; the literal starts at
+   [line:col]. *)
+let escape file line col src i =
+  if i >= String.length src then err file line col "unterminated escape"
+  else
+    match String.unsafe_get src i with
+    | 'n' -> '\n'
+    | 't' -> '\t'
+    | '\\' -> '\\'
+    | '\'' -> '\''
+    | '"' -> '"'
+    | c -> err file line col "unknown escape '\\%c'" c
 
 let is_digit c = c >= '0' && c <= '9'
-let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_alnum c = is_alpha c || is_digit c
 
-let rec skip_comment t depth start_loc =
-  match (peek t, peek2 t) with
-  | None, _ -> Diag.errorf_at start_loc "unterminated comment"
-  | Some '*', Some ')' ->
-    advance t;
-    advance t;
-    if depth > 1 then skip_comment t (depth - 1) start_loc
-  | Some '(', Some '*' ->
-    advance t;
-    advance t;
-    skip_comment t (depth + 1) start_loc
-  | Some _, _ ->
-    advance t;
-    skip_comment t depth start_loc
+let is_alnum = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true
+  | _ -> false
 
-let rec skip_ws t =
-  match (peek t, peek2 t) with
-  | Some (' ' | '\t' | '\r' | '\n'), _ ->
-    advance t;
-    skip_ws t
-  | Some '(', Some '*' ->
-    let start = loc t in
-    advance t;
-    advance t;
-    skip_comment t 1 start;
-    skip_ws t
-  | _ -> ()
+let next_is src j c = j < String.length src && String.unsafe_get src j = c
 
-let lex_escape t start_loc =
-  match peek t with
-  | Some 'n' -> advance t; '\n'
-  | Some 't' -> advance t; '\t'
-  | Some '\\' -> advance t; '\\'
-  | Some '\'' -> advance t; '\''
-  | Some '"' -> advance t; '"'
-  | Some c -> Diag.errorf_at start_loc "unknown escape '\\%c'" c
-  | None -> Diag.errorf_at start_loc "unterminated escape"
-
-let lex_char t start_loc =
-  advance t;
-  (* past the opening quote *)
-  let c =
-    match peek t with
-    | Some '\\' ->
-      advance t;
-      lex_escape t start_loc
-    | Some c when c <> '\'' ->
-      advance t;
-      c
-    | _ -> Diag.errorf_at start_loc "malformed character literal"
+let scan ~file src =
+  let len = String.length src in
+  let cap = (len / 3) + 16 in
+  let o =
+    { o_toks = Array.make cap Token.EOF; o_lcs = Array.make cap 0;
+      o_names = Array.make cap 0; n = 0 }
   in
-  match peek t with
-  | Some '\'' ->
-    advance t;
-    Token.CHARLIT c
-  | _ -> Diag.errorf_at start_loc "character literal missing closing quote"
-
-let lex_string t start_loc =
-  advance t;
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek t with
-    | None | Some '\n' -> Diag.errorf_at start_loc "unterminated string literal"
-    | Some '"' ->
-      advance t;
-      Token.STRING (Buffer.contents buf)
-    | Some '\\' ->
-      advance t;
-      Buffer.add_char buf (lex_escape t start_loc);
-      go ()
-    | Some c ->
-      advance t;
-      Buffer.add_char buf c;
-      go ()
-  in
-  go ()
-
-let lex_number t =
-  let start = t.pos in
-  while (match peek t with Some c -> is_digit c | None -> false) do
-    advance t
+  let sp = spellings () in
+  let i = ref 0 and line = ref 1 and bol = ref 0 in
+  let fin = ref false in
+  while not !fin do
+    (* whitespace and (nested) comments *)
+    let skipping = ref true in
+    while !skipping && !i < len do
+      match String.unsafe_get src !i with
+      | ' ' | '\t' | '\r' -> incr i
+      | '\n' ->
+        incr i;
+        incr line;
+        bol := !i
+      | '(' when next_is src (!i + 1) '*' ->
+        let cl = !line and cc = !i - !bol + 1 in
+        i := !i + 2;
+        let depth = ref 1 in
+        while !depth > 0 do
+          if !i >= len then err file cl cc "unterminated comment";
+          let c = String.unsafe_get src !i in
+          if c = '*' && next_is src (!i + 1) ')' then begin
+            i := !i + 2;
+            decr depth
+          end
+          else if c = '(' && next_is src (!i + 1) '*' then begin
+            i := !i + 2;
+            incr depth
+          end
+          else begin
+            incr i;
+            if c = '\n' then begin
+              incr line;
+              bol := !i
+            end
+          end
+        done
+      | _ -> skipping := false
+    done;
+    let tl = !line and tc = !i - !bol + 1 in
+    if !i >= len then begin
+      push o Token.EOF tl tc 0;
+      fin := true
+    end
+    else
+      match String.unsafe_get src !i with
+      | '0' .. '9' ->
+        let start = !i in
+        let n = ref 0 and overflow = ref false in
+        while !i < len && is_digit (String.unsafe_get src !i) do
+          let d = Char.code (String.unsafe_get src !i) - Char.code '0' in
+          if !n > (max_int - d) / 10 then overflow := true
+          else n := (!n * 10) + d;
+          incr i
+        done;
+        if !overflow then
+          err file !line (!i - !bol + 1) "integer literal out of range: %s"
+            (String.sub src start (!i - start));
+        push o (Token.INT !n) tl tc 0
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+        let start = !i and h = ref 0 in
+        while !i < len && is_alnum (String.unsafe_get src !i) do
+          h := hash_step !h (String.unsafe_get src !i);
+          incr i
+        done;
+        let k =
+          spelling sp src start (!i - start) !h (!h land (Array.length sp.slots - 1))
+        in
+        push o sp.ent_tok.(k) tl tc k
+      | '\'' ->
+        incr i;
+        let c =
+          if next_is src !i '\\' then begin
+            let c = escape file tl tc src (!i + 1) in
+            i := !i + 2;
+            c
+          end
+          else if !i < len && String.unsafe_get src !i <> '\'' then begin
+            let c = String.unsafe_get src !i in
+            incr i;
+            if c = '\n' then begin
+              incr line;
+              bol := !i
+            end;
+            c
+          end
+          else err file tl tc "malformed character literal"
+        in
+        if not (next_is src !i '\'') then
+          err file tl tc "character literal missing closing quote";
+        incr i;
+        push o (Token.CHARLIT c) tl tc 0
+      | '"' ->
+        incr i;
+        let buf = Buffer.create 16 in
+        let closed = ref false in
+        while not !closed do
+          if !i >= len then err file tl tc "unterminated string literal";
+          match String.unsafe_get src !i with
+          | '\n' -> err file tl tc "unterminated string literal"
+          | '"' ->
+            incr i;
+            closed := true
+          | '\\' ->
+            Buffer.add_char buf (escape file tl tc src (!i + 1));
+            i := !i + 2
+          | c ->
+            Buffer.add_char buf c;
+            incr i
+        done;
+        push o (Token.STRING (Buffer.contents buf)) tl tc 0
+      | c ->
+        let tok : Token.t =
+          match c with
+          | ';' -> SEMI
+          | ',' -> COMMA
+          | ':' -> if next_is src (!i + 1) '=' then ASSIGN else COLON
+          | '=' -> EQ
+          | '#' -> NE
+          | '<' -> if next_is src (!i + 1) '=' then LE else LT
+          | '>' -> if next_is src (!i + 1) '=' then GE else GT
+          | '+' -> PLUS
+          | '-' -> MINUS
+          | '*' -> STAR
+          | '(' -> LPAREN
+          | ')' -> RPAREN
+          | '[' -> LBRACKET
+          | ']' -> RBRACKET
+          | '^' -> CARET
+          | '.' -> if next_is src (!i + 1) '.' then DOTDOT else DOT
+          | c -> err file tl tc "unexpected character '%c'" c
+        in
+        i := !i + (match tok with ASSIGN | LE | GE | DOTDOT -> 2 | _ -> 1);
+        push o tok tl tc 0
   done;
-  let text = String.sub t.src start (t.pos - start) in
-  match int_of_string_opt text with
-  | Some n -> Token.INT n
-  | None -> Diag.errorf_at (loc t) "integer literal out of range: %s" text
-
-let lex_word t =
-  let start = t.pos in
-  while (match peek t with Some c -> is_alnum c | None -> false) do
-    advance t
-  done;
-  let text = String.sub t.src start (t.pos - start) in
-  match List.assoc_opt text Token.keyword_table with
-  | Some kw -> kw
-  | None -> Token.IDENT text
-
-let next t =
-  skip_ws t;
-  let l = loc t in
-  let tok =
-    match peek t with
-    | None -> Token.EOF
-    | Some c when is_digit c -> lex_number t
-    | Some c when is_alpha c -> lex_word t
-    | Some '\'' -> lex_char t l
-    | Some '"' -> lex_string t l
-    | Some c ->
-      let two target result =
-        advance t;
-        if peek t = Some target then begin
-          advance t;
-          result
-        end
-        else None
-      in
-      let simple tok =
-        advance t;
-        tok
-      in
-      (match c with
-      | ';' -> simple Token.SEMI
-      | ',' -> simple Token.COMMA
-      | ':' -> ( match two '=' (Some Token.ASSIGN) with Some tk -> tk | None -> Token.COLON)
-      | '=' -> simple Token.EQ
-      | '#' -> simple Token.NE
-      | '<' -> (match two '=' (Some Token.LE) with Some tk -> tk | None -> Token.LT)
-      | '>' -> (match two '=' (Some Token.GE) with Some tk -> tk | None -> Token.GT)
-      | '+' -> simple Token.PLUS
-      | '-' -> simple Token.MINUS
-      | '*' -> simple Token.STAR
-      | '(' -> simple Token.LPAREN
-      | ')' -> simple Token.RPAREN
-      | '[' -> simple Token.LBRACKET
-      | ']' -> simple Token.RBRACKET
-      | '^' -> simple Token.CARET
-      | '.' -> (match two '.' (Some Token.DOTDOT) with Some tk -> tk | None -> Token.DOT)
-      | c -> Diag.errorf_at l "unexpected character '%c'" c)
-  in
-  (tok, l)
-
-let tokenize ~file src =
-  let t = create ~file src in
-  let rec go acc =
-    let tok, l = next t in
-    let acc = (tok, l) :: acc in
-    match tok with Token.EOF -> List.rev acc | _ -> go acc
-  in
-  go []
+  { file; toks = o.o_toks; lcs = o.o_lcs; name_ix = o.o_names; count = o.n;
+    names = Array.sub sp.ent_str 0 sp.n_ent;
+    idents = Array.make sp.n_ent None }

@@ -1,17 +1,21 @@
 open Support
 
+(* The parser reads the lexer's token stream in place. [pos] never passes
+   the final [EOF]. Locations are built from a token index only when a
+   node or a diagnostic needs one. *)
 type state = {
-  toks : (Token.t * Loc.t) array;
+  lx : Lexer.t;
+  last : int;  (* index of EOF *)
   mutable pos : int;
 }
 
-let current st = fst st.toks.(st.pos)
-let current_loc st = snd st.toks.(st.pos)
+let current st = Lexer.token st.lx st.pos
+let loc_at st i = Lexer.loc st.lx i
+let current_loc st = loc_at st st.pos
 
-let lookahead st =
-  if st.pos + 1 < Array.length st.toks then fst st.toks.(st.pos + 1) else Token.EOF
+let lookahead st = if st.pos < st.last then Lexer.token st.lx (st.pos + 1) else Token.EOF
 
-let advance st = if st.pos + 1 < Array.length st.toks then st.pos <- st.pos + 1
+let advance st = if st.pos < st.last then st.pos <- st.pos + 1
 
 let error st fmt =
   Format.kasprintf
@@ -20,8 +24,12 @@ let error st fmt =
         (Token.to_string (current st)))
     fmt
 
+(* [tok] is always a payload-free token, so physical equality compares
+   tags. *)
+let is st (tok : Token.t) = current st == tok
+
 let accept st tok =
-  if Token.equal (current st) tok then begin
+  if is st tok then begin
     advance st;
     true
   end
@@ -30,35 +38,42 @@ let accept st tok =
 let expect st tok =
   if not (accept st tok) then error st "expected '%s'" (Token.to_string tok)
 
+(* The current token's name; the caller has matched an [IDENT]. *)
+let take_ident st =
+  let id = Lexer.ident st.lx st.pos in
+  advance st;
+  id
+
 let expect_ident st =
   match current st with
-  | Token.IDENT s ->
-    advance st;
-    Ident.intern s
+  | Token.IDENT _ -> take_ident st
   | _ -> error st "expected identifier"
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let ty_at st start t_desc : Ast.ty_expr = { t_desc; t_loc = loc_at st start }
+
 let rec parse_ty st : Ast.ty_expr =
-  let loc = current_loc st in
-  let mk t_desc : Ast.ty_expr = { t_desc; t_loc = loc } in
+  let start = st.pos in
   match current st with
   | Token.IDENT "INTEGER" ->
     advance st;
-    mk Ast.Tint
+    ty_at st start Ast.Tint
   | Token.IDENT "BOOLEAN" ->
     advance st;
-    mk Ast.Tbool
+    ty_at st start Ast.Tbool
   | Token.IDENT "CHAR" ->
     advance st;
-    mk Ast.Tchar
+    ty_at st start Ast.Tchar
   | Token.ROOT ->
     advance st;
-    if Token.equal (current st) Token.OBJECT then
-      mk (Ast.Tobject (parse_object_body st ~super:(Some (mk Ast.Troot)) ~brand:None))
-    else mk Ast.Troot
+    if is st Token.OBJECT then
+      let super = ty_at st start Ast.Troot in
+      ty_at st start
+        (Ast.Tobject (parse_object_body st ~super:(Some super) ~brand:None))
+    else ty_at st start Ast.Troot
   | Token.ARRAY ->
     advance st;
     if accept st Token.LBRACKET then begin
@@ -79,19 +94,21 @@ let rec parse_ty st : Ast.ty_expr =
       in
       expect st Token.RBRACKET;
       expect st Token.OF;
-      if lo <> 0 then Diag.errorf_at loc "array lower bound must be 0";
-      if hi < lo then Diag.errorf_at loc "empty array range";
-      mk (Ast.Tarray (Some (hi - lo + 1), parse_ty st))
+      if lo <> 0 then Diag.errorf_at (loc_at st start) "array lower bound must be 0";
+      if hi < lo then Diag.errorf_at (loc_at st start) "empty array range";
+      let elem = parse_ty st in
+      ty_at st start (Ast.Tarray (Some (hi - lo + 1), elem))
     end
     else begin
       expect st Token.OF;
-      mk (Ast.Tarray (None, parse_ty st))
+      let elem = parse_ty st in
+      ty_at st start (Ast.Tarray (None, elem))
     end
   | Token.RECORD ->
     advance st;
     let fields = parse_field_decls st in
     expect st Token.END;
-    mk (Ast.Trecord fields)
+    ty_at st start (Ast.Trecord fields)
   | Token.BRANDED ->
     advance st;
     let brand =
@@ -104,31 +121,29 @@ let rec parse_ty st : Ast.ty_expr =
     (match current st with
     | Token.REF ->
       advance st;
-      mk (Ast.Tref (brand, parse_ty st))
-    | Token.OBJECT -> mk (Ast.Tobject (parse_object_body st ~super:None ~brand))
-    | Token.IDENT name when Token.equal (lookahead st) Token.OBJECT ->
+      let target = parse_ty st in
+      ty_at st start (Ast.Tref (brand, target))
+    | Token.OBJECT -> ty_at st start (Ast.Tobject (parse_object_body st ~super:None ~brand))
+    | Token.IDENT _ when lookahead st == Token.OBJECT ->
+      let super = ty_at st start (Ast.Tname (take_ident st)) in
+      ty_at st start (Ast.Tobject (parse_object_body st ~super:(Some super) ~brand))
+    | Token.ROOT when lookahead st == Token.OBJECT ->
       advance st;
-      let super = { Ast.t_desc = Ast.Tname (Ident.intern name); t_loc = loc } in
-      mk (Ast.Tobject (parse_object_body st ~super:(Some super) ~brand))
-    | Token.ROOT when Token.equal (lookahead st) Token.OBJECT ->
-      advance st;
-      let super = { Ast.t_desc = Ast.Troot; t_loc = loc } in
-      mk (Ast.Tobject (parse_object_body st ~super:(Some super) ~brand))
+      let super = ty_at st start Ast.Troot in
+      ty_at st start (Ast.Tobject (parse_object_body st ~super:(Some super) ~brand))
     | _ -> error st "expected REF or OBJECT after BRANDED")
   | Token.REF ->
     advance st;
-    mk (Ast.Tref (None, parse_ty st))
-  | Token.OBJECT -> mk (Ast.Tobject (parse_object_body st ~super:None ~brand:None))
-  | Token.IDENT name ->
-    if Token.equal (lookahead st) Token.OBJECT then begin
-      advance st;
-      let super = { Ast.t_desc = Ast.Tname (Ident.intern name); t_loc = loc } in
-      mk (Ast.Tobject (parse_object_body st ~super:(Some super) ~brand:None))
+    let target = parse_ty st in
+    ty_at st start (Ast.Tref (None, target))
+  | Token.OBJECT ->
+    ty_at st start (Ast.Tobject (parse_object_body st ~super:None ~brand:None))
+  | Token.IDENT _ ->
+    if lookahead st == Token.OBJECT then begin
+      let super = ty_at st start (Ast.Tname (take_ident st)) in
+      ty_at st start (Ast.Tobject (parse_object_body st ~super:(Some super) ~brand:None))
     end
-    else begin
-      advance st;
-      mk (Ast.Tname (Ident.intern name))
-    end
+    else ty_at st start (Ast.Tname (take_ident st))
   | _ -> error st "expected a type"
 
 and parse_field_decls st : Ast.field_decl list =
@@ -195,7 +210,7 @@ and parse_overrides st =
   go []
 
 and parse_params st : Ast.param_decl list =
-  if Token.equal (current st) Token.RPAREN then []
+  if is st Token.RPAREN then []
   else begin
     let rec one acc =
       let loc = current_loc st in
@@ -218,30 +233,35 @@ and parse_params st : Ast.param_decl list =
 (* Expressions                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let expr_at st start e_desc : Ast.expr = { Ast.e_desc; e_loc = loc_at st start }
+
 let rec parse_expr st : Ast.expr = parse_or st
 
-and mk_e st loc e_desc : Ast.expr =
-  ignore st;
-  { Ast.e_desc; e_loc = loc }
-
 and parse_or st =
-  let loc = current_loc st in
+  let start = st.pos in
   let lhs = parse_and st in
-  if accept st Token.OR then mk_e st loc (Ast.Binop (Ast.Or, lhs, parse_or st)) else lhs
+  if accept st Token.OR then
+    let rhs = parse_or st in
+    expr_at st start (Ast.Binop (Ast.Or, lhs, rhs))
+  else lhs
 
 and parse_and st =
-  let loc = current_loc st in
+  let start = st.pos in
   let lhs = parse_not st in
-  if accept st Token.AND then mk_e st loc (Ast.Binop (Ast.And, lhs, parse_and st))
+  if accept st Token.AND then
+    let rhs = parse_and st in
+    expr_at st start (Ast.Binop (Ast.And, lhs, rhs))
   else lhs
 
 and parse_not st =
-  let loc = current_loc st in
-  if accept st Token.NOT then mk_e st loc (Ast.Unop (Ast.Not, parse_not st))
+  let start = st.pos in
+  if accept st Token.NOT then
+    let e = parse_not st in
+    expr_at st start (Ast.Unop (Ast.Not, e))
   else parse_relation st
 
 and parse_relation st =
-  let loc = current_loc st in
+  let start = st.pos in
   let lhs = parse_additive st in
   let op =
     match current st with
@@ -257,71 +277,79 @@ and parse_relation st =
   | None -> lhs
   | Some op ->
     advance st;
-    mk_e st loc (Ast.Binop (op, lhs, parse_additive st))
+    let rhs = parse_additive st in
+    expr_at st start (Ast.Binop (op, lhs, rhs))
 
 and parse_additive st =
-  let loc = current_loc st in
-  let rec go lhs =
+  let start = st.pos in
+  additive_rest st start (parse_multiplicative st)
+
+and additive_rest st start lhs =
+  let op =
     match current st with
-    | Token.PLUS ->
-      advance st;
-      go (mk_e st loc (Ast.Binop (Ast.Add, lhs, parse_multiplicative st)))
-    | Token.MINUS ->
-      advance st;
-      go (mk_e st loc (Ast.Binop (Ast.Sub, lhs, parse_multiplicative st)))
-    | _ -> lhs
+    | Token.PLUS -> Some Ast.Add
+    | Token.MINUS -> Some Ast.Sub
+    | _ -> None
   in
-  go (parse_multiplicative st)
+  match op with
+  | None -> lhs
+  | Some op ->
+    advance st;
+    let rhs = parse_multiplicative st in
+    additive_rest st start (expr_at st start (Ast.Binop (op, lhs, rhs)))
 
 and parse_multiplicative st =
-  let loc = current_loc st in
-  let rec go lhs =
+  let start = st.pos in
+  multiplicative_rest st start (parse_unary st)
+
+and multiplicative_rest st start lhs =
+  let op =
     match current st with
-    | Token.STAR ->
-      advance st;
-      go (mk_e st loc (Ast.Binop (Ast.Mul, lhs, parse_unary st)))
-    | Token.DIV ->
-      advance st;
-      go (mk_e st loc (Ast.Binop (Ast.Div, lhs, parse_unary st)))
-    | Token.MOD ->
-      advance st;
-      go (mk_e st loc (Ast.Binop (Ast.Mod, lhs, parse_unary st)))
-    | _ -> lhs
+    | Token.STAR -> Some Ast.Mul
+    | Token.DIV -> Some Ast.Div
+    | Token.MOD -> Some Ast.Mod
+    | _ -> None
   in
-  go (parse_unary st)
+  match op with
+  | None -> lhs
+  | Some op ->
+    advance st;
+    let rhs = parse_unary st in
+    multiplicative_rest st start (expr_at st start (Ast.Binop (op, lhs, rhs)))
 
 and parse_unary st =
-  let loc = current_loc st in
-  if accept st Token.MINUS then mk_e st loc (Ast.Unop (Ast.Neg, parse_unary st))
+  let start = st.pos in
+  if accept st Token.MINUS then
+    let e = parse_unary st in
+    expr_at st start (Ast.Unop (Ast.Neg, e))
   else parse_postfix st
 
-and parse_postfix st =
-  let rec go e =
-    let loc = current_loc st in
-    match current st with
-    | Token.DOT ->
-      advance st;
-      let f = expect_ident st in
-      go (mk_e st loc (Ast.Field (e, f)))
-    | Token.CARET ->
-      advance st;
-      go (mk_e st loc (Ast.Deref e))
-    | Token.LBRACKET ->
-      advance st;
-      let idx = parse_expr st in
-      expect st Token.RBRACKET;
-      go (mk_e st loc (Ast.Index (e, idx)))
-    | Token.LPAREN ->
-      advance st;
-      let args = parse_args st in
-      expect st Token.RPAREN;
-      go (mk_e st loc (Ast.Call (e, args)))
-    | _ -> e
-  in
-  go (parse_primary st)
+and parse_postfix st = postfix_rest st (parse_primary st)
+
+and postfix_rest st e =
+  let start = st.pos in
+  match current st with
+  | Token.DOT ->
+    advance st;
+    let f = expect_ident st in
+    postfix_rest st (expr_at st start (Ast.Field (e, f)))
+  | Token.CARET ->
+    advance st;
+    postfix_rest st (expr_at st start (Ast.Deref e))
+  | Token.LBRACKET ->
+    advance st;
+    let idx = parse_expr st in
+    expect st Token.RBRACKET;
+    postfix_rest st (expr_at st start (Ast.Index (e, idx)))
+  | Token.LPAREN ->
+    advance st;
+    let args = parse_args st in
+    expect st Token.RPAREN;
+    postfix_rest st (expr_at st start (Ast.Call (e, args)))
+  | _ -> e
 
 and parse_args st =
-  if Token.equal (current st) Token.RPAREN then []
+  if is st Token.RPAREN then []
   else begin
     let rec go acc =
       let acc = parse_expr st :: acc in
@@ -331,36 +359,34 @@ and parse_args st =
   end
 
 and parse_primary st =
-  let loc = current_loc st in
+  let start = st.pos in
   match current st with
   | Token.INT n ->
     advance st;
-    mk_e st loc (Ast.Int_lit n)
+    expr_at st start (Ast.Int_lit n)
   | Token.CHARLIT c ->
     advance st;
-    mk_e st loc (Ast.Char_lit c)
+    expr_at st start (Ast.Char_lit c)
   | Token.STRING s ->
     advance st;
-    mk_e st loc (Ast.String_lit s)
+    expr_at st start (Ast.String_lit s)
   | Token.TRUE ->
     advance st;
-    mk_e st loc (Ast.Bool_lit true)
+    expr_at st start (Ast.Bool_lit true)
   | Token.FALSE ->
     advance st;
-    mk_e st loc (Ast.Bool_lit false)
+    expr_at st start (Ast.Bool_lit false)
   | Token.NIL ->
     advance st;
-    mk_e st loc Ast.Nil
+    expr_at st start Ast.Nil
   | Token.NEW ->
     advance st;
     expect st Token.LPAREN;
     let ty = parse_ty st in
     let args = if accept st Token.COMMA then parse_args st else [] in
     expect st Token.RPAREN;
-    mk_e st loc (Ast.New (ty, args))
-  | Token.IDENT s ->
-    advance st;
-    mk_e st loc (Ast.Name (Ident.intern s))
+    expr_at st start (Ast.New (ty, args))
+  | Token.IDENT _ -> expr_at st start (Ast.Name (take_ident st))
   | Token.LPAREN ->
     advance st;
     let e = parse_expr st in
@@ -372,13 +398,14 @@ and parse_primary st =
 (* Statements                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let rec parse_stmts st : Ast.stmt list =
-  let stops = [ Token.END; Token.ELSE; Token.ELSIF; Token.UNTIL; Token.EOF ] in
-  let rec go acc =
-    if List.exists (Token.equal (current st)) stops then List.rev acc
-    else go (parse_stmt st :: acc)
-  in
-  go []
+let rec parse_stmts st : Ast.stmt list = stmts_rest st []
+
+and stmts_rest st acc =
+  match current st with
+  | Token.END | Token.ELSE | Token.ELSIF | Token.UNTIL | Token.EOF -> List.rev acc
+  | _ ->
+    let s = parse_stmt st in
+    stmts_rest st (s :: acc)
 
 and parse_stmt st : Ast.stmt =
   let loc = current_loc st in
@@ -459,7 +486,7 @@ and parse_stmt st : Ast.stmt =
     mk Ast.Exit
   | Token.RETURN ->
     advance st;
-    let v = if Token.equal (current st) Token.SEMI then None else Some (parse_expr st) in
+    let v = if is st Token.SEMI then None else Some (parse_expr st) in
     expect st Token.SEMI;
     mk (Ast.Return v)
   | Token.WITH ->
@@ -604,12 +631,13 @@ let parse_module_state st : Ast.module_ =
   { Ast.mod_name = name; mod_decls = ds; mod_body = body; mod_loc = loc }
 
 let make_state ~file src =
-  { toks = Array.of_list (Lexer.tokenize ~file src); pos = 0 }
+  let lx = Lexer.scan ~file src in
+  { lx; last = Lexer.count lx - 1; pos = 0 }
 
 let parse_module ~file src = parse_module_state (make_state ~file src)
 
 let parse_expr_string src =
   let st = make_state ~file:"<expr>" src in
   let e = parse_expr st in
-  if not (Token.equal (current st) Token.EOF) then error st "trailing tokens";
+  if not (is st Token.EOF) then error st "trailing tokens";
   e

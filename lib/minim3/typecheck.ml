@@ -198,7 +198,11 @@ let rec eval_const ctx (e : Ast.expr) : Tast.expr =
 let assignable ctx ~src ~dst = src = dst || Types.subtype ctx.env src dst
 
 let lookup_scope ctx name =
-  List.assoc_opt name (List.map (fun (n, e) -> (n, e)) ctx.scope)
+  let rec find = function
+    | [] -> None
+    | (n, e) :: rest -> if Ident.equal n name then Some e else find rest
+  in
+  find ctx.scope
 
 let builtin_table : (string * Tast.builtin) list =
   [ ("PrintInt", Tast.Bprint_int); ("PrintChar", Tast.Bprint_char);

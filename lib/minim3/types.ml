@@ -186,17 +186,18 @@ let is_scalar env t =
   | Dint | Dbool | Dchar | Dnull | Dref _ | Dobject _ -> true
   | Dunit | Darray _ | Drecord _ -> false
 
-let rec super_chain env t acc =
-  match desc env t with
-  | Dobject { obj_super = Some s; _ } -> super_chain env s (s :: acc)
-  | _ -> acc
+(* [t] is a strict supertype of object [s]: walk up from [s]. *)
+let rec inherits env s t =
+  match desc env s with
+  | Dobject { obj_super = Some u; _ } -> u = t || inherits env u t
+  | _ -> false
 
 let subtype env s t =
   if s = t then true
   else
     match (desc env s, desc env t) with
     | Dnull, (Dref _ | Dobject _) -> true
-    | Dobject _, Dobject _ -> List.mem t (super_chain env s [])
+    | Dobject _, Dobject _ -> inherits env s t
     | _ -> false
 
 (* Pre/post (Euler-tour) interval labels over the object inheritance
@@ -256,14 +257,33 @@ let rec object_fields env t =
     inherited @ Array.to_list info.obj_fields
   | d -> Diag.error "Types.object_fields: %s has no object fields" (desc_kind d)
 
+let rec first_field fields name i =
+  if i = Array.length fields then None
+  else if Ident.equal fields.(i).fld_name name then Some fields.(i)
+  else first_field fields name (i + 1)
+
+(* The first match in [object_fields] order: the root-most ancestor's
+   fields first, each class's in declaration order. *)
+let rec find_object_field env t name =
+  match desc env t with
+  | Dobject info -> (
+    let inherited =
+      match info.obj_super with
+      | Some s -> find_object_field env s name
+      | None -> None
+    in
+    match inherited with
+    | Some _ -> inherited
+    | None -> first_field info.obj_fields name 0)
+  | d -> Diag.error "Types.object_fields: %s has no object fields" (desc_kind d)
+
 let find_field env t name =
   match desc env t with
   | Drecord fields ->
     Array.fold_left
       (fun acc f -> if Ident.equal f.fld_name name then Some f else acc)
       None fields
-  | Dobject _ ->
-    List.find_opt (fun f -> Ident.equal f.fld_name name) (object_fields env t)
+  | Dobject _ -> find_object_field env t name
   | _ -> None
 
 let rec lookup_method env t m =

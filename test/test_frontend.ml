@@ -4,7 +4,7 @@
 open Support
 open Minim3
 
-let tokens_of s = List.map fst (Lexer.tokenize ~file:"t" s)
+let tokens_of s = List.map fst (Lexer.to_list (Lexer.scan ~file:"t" s))
 
 let token = Alcotest.testable (fun ppf t -> Fmt.string ppf (Token.to_string t)) Token.equal
 
@@ -42,7 +42,7 @@ let test_lex_dotdot () =
     (tokens_of "[0..9]")
 
 let test_lex_error () =
-  match Lexer.tokenize ~file:"t" "a ? b" with
+  match Lexer.scan ~file:"t" "a ? b" with
   | exception Diag.Compile_error _ -> ()
   | _ -> Alcotest.fail "expected a lex error"
 
@@ -530,7 +530,7 @@ let token_lines ~file src =
       Buffer.add_char b ' ';
       Buffer.add_string b (Loc.to_string loc);
       Buffer.add_char b '\n')
-    (Lexer.tokenize ~file src);
+    (Lexer.to_list (Lexer.scan ~file src));
   Buffer.contents b
 
 (* One line per node: constructor, names and literal payloads, location. *)
