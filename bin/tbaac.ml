@@ -173,7 +173,18 @@ let optimize_cmd =
   let run file workload analysis world minv pre copyprop licm slf dse jobs
       stats verify =
     with_source file workload (fun name src ->
-        let program = Ir.Lower.lower_string ~file:name src in
+        (* the front end's layers, timed for --stats *)
+        let layers = ref [] in
+        let layer what f =
+          let w0 = Gc.minor_words () and t0 = Support.Clock.now_ms () in
+          let r = f () in
+          let ms = Support.Clock.now_ms () -. t0 in
+          layers := (what, ms, Gc.minor_words () -. w0) :: !layers;
+          r
+        in
+        let ast = layer "parse" (fun () -> Minim3.Parser.parse_module ~file:name src) in
+        let tast = layer "typecheck" (fun () -> Minim3.Typecheck.check_module ast) in
+        let program = layer "lower" (fun () -> Ir.Lower.lower_program tast) in
         let config =
           { Opt.Pipeline.oracle_kind = analysis; world;
             passes =
@@ -195,6 +206,17 @@ let optimize_cmd =
                       (slf, "slf"); (copyprop, "cp"); (dse, "dse");
                       (world = Tbaa.World.Open, "open") ])
           in
+          List.iter
+            (fun (what, ms, words) ->
+              print_endline
+                (Support.Json.to_string
+                   (Support.Json.envelope
+                      [ ("workload", Support.Json.String name);
+                        ("config", Support.Json.String config_desc);
+                        ("layer", Support.Json.String what);
+                        ("time_ms", Support.Json.Float ms);
+                        ("minor_words", Support.Json.Int (int_of_float words)) ])))
+            (List.rev !layers);
           List.iter
             (fun r ->
               let record =

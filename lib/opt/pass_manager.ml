@@ -118,10 +118,6 @@ let snapshot_blocks proc =
       let b = Ir.Cfg.block proc i in
       (b.Ir.Cfg.b_instrs, b.Ir.Cfg.b_term))
 
-(* Serializes [Ident.intern] for fresh-variable names minted inside the
-   parallel region (nothing else interns identifiers there). *)
-let ident_mutex = Mutex.create ()
-
 (* Run a per-procedure pass over every procedure — the generic derivation
    of the old whole-program [run].
 
@@ -267,17 +263,8 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
         let fresh ~name ~ty ~kind =
           let k = counts.(i) in
           counts.(i) <- k + 1;
-          let v_name =
-            if domains > 1 then begin
-              Mutex.lock ident_mutex;
-              let id = Ident.intern name in
-              Mutex.unlock ident_mutex;
-              id
-            end
-            else Ident.intern name
-          in
-          { Ir.Reg.v_id = start + i + (k * n); v_name; v_ty = ty;
-            v_kind = kind }
+          { Ir.Reg.v_id = start + i + (k * n); v_name = Ident.intern name;
+            v_ty = ty; v_kind = kind }
         in
         let claims =
           if want_claims then Some (Claims.create ~oracle:oname) else None

@@ -1,9 +1,14 @@
 type t = { name : string; id : int }
 
+(* One lock guards the table and both counters, so any domain may intern.
+   Hot callers keep their own cache in front of it: a parse takes the
+   lock once per distinct name (the front end's [Lexer.ident]). *)
+let lock = Mutex.create ()
 let table : (string, t) Hashtbl.t = Hashtbl.create 1024
 let counter = ref 0
+let fresh_counter = ref 0
 
-let intern name =
+let intern_locked name =
   match Hashtbl.find_opt table name with
   | Some t -> t
   | None ->
@@ -12,6 +17,8 @@ let intern name =
     Hashtbl.add table name t;
     t
 
+let intern name = Mutex.protect lock (fun () -> intern_locked name)
+
 let name t = t.name
 let id t = t.id
 let equal a b = a.id = b.id
@@ -19,12 +26,14 @@ let compare a b = Int.compare a.id b.id
 let hash t = t.id
 let pp ppf t = Format.pp_print_string ppf t.name
 
-let fresh_counter = ref 0
-
-let rec fresh base =
-  incr fresh_counter;
-  let candidate = Printf.sprintf "%s$%d" base !fresh_counter in
-  if Hashtbl.mem table candidate then fresh base else intern candidate
+let fresh base =
+  Mutex.protect lock (fun () ->
+      let rec go () =
+        incr fresh_counter;
+        let candidate = Printf.sprintf "%s$%d" base !fresh_counter in
+        if Hashtbl.mem table candidate then go () else intern_locked candidate
+      in
+      go ())
 
 module Ord = struct
   type nonrec t = t

@@ -4,7 +4,10 @@
     yields the same [t], so equality and comparison are O(1) integer
     operations. The front end interns every name it sees (variables, fields,
     types, procedures, methods); all later phases compare idents, never
-    strings. *)
+    strings.
+
+    {!intern} and {!fresh} are safe to call from any domain: one lock
+    guards the table. *)
 
 type t
 

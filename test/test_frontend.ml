@@ -937,6 +937,32 @@ let test_golden_recovery () =
   Alcotest.(check (list string)) "recovery lists" expected_recovery
     (recovery_lines ())
 
+(* --- allocation ceiling ------------------------------------------- *)
+
+(* Sequential allocation is deterministic, so the front end's is gated.
+   Measured for scale200 (after a warm-up parse, so every name is
+   already interned): parse 111,088 minor words, typecheck 138,709 (the
+   lexer and scope walk these replaced allocated 699,952 and 534,766).
+   The ceilings are ~1.25x the measured values. *)
+let parse_ceiling = 139_000.
+let typecheck_ceiling = 174_000.
+
+let test_alloc_ceiling () =
+  let src = Gen.Scale.source 200 in
+  ignore (Typecheck.check_module (Parser.parse_module ~file:"scale200" src));
+  let w0 = Gc.minor_words () in
+  let ast = Parser.parse_module ~file:"scale200" src in
+  let w1 = Gc.minor_words () in
+  ignore (Typecheck.check_module ast);
+  let w2 = Gc.minor_words () in
+  let within what words ceiling =
+    if words > ceiling then
+      Alcotest.failf "%s allocated %.0f minor words, over the ceiling of %.0f"
+        what words ceiling
+  in
+  within "parse" (w1 -. w0) parse_ceiling;
+  within "typecheck" (w2 -. w1) typecheck_ceiling
+
 let () =
   Alcotest.run "frontend"
     [ ( "lexer",
@@ -982,4 +1008,6 @@ let () =
       ( "golden",
         [ Alcotest.test_case "tokens and AST" `Quick test_golden_frontend;
           Alcotest.test_case "malformed inputs" `Quick test_golden_malformed;
-          Alcotest.test_case "recovery lists" `Quick test_golden_recovery ] ) ]
+          Alcotest.test_case "recovery lists" `Quick test_golden_recovery ] );
+      ( "alloc",
+        [ Alcotest.test_case "front-end ceiling" `Quick test_alloc_ceiling ] ) ]

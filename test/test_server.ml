@@ -750,6 +750,44 @@ let test_tbaac_usage_errors () =
     [ "definitely-not-a-subcommand"; "aliases --no-such-flag";
       "check --world=neither" ]
 
+(* --stats: the front end's three layers, then one line per pass, every
+   line in the schema-1 envelope. *)
+let test_tbaac_stats_layers () =
+  let out = Filename.temp_file "tbaac_stats" ".jsonl" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s optimize --workload format --licm --stats >%s" tbaac
+         (Filename.quote out))
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  let ic = open_in out in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove out;
+  let records =
+    List.filter_map
+      (fun l -> if String.length l > 0 && l.[0] = '{' then Some (Json.of_string l) else None)
+      (String.split_on_char '\n' text)
+  in
+  let str key j = match Json.member key j with Some (Json.String s) -> s | _ -> "" in
+  List.iter
+    (fun j -> Alcotest.(check (option int)) "schema" (Some 1) (Json.schema_of j))
+    records;
+  let layers = List.filteri (fun i _ -> i < 3) records in
+  Alcotest.(check (list string)) "layers first" [ "parse"; "typecheck"; "lower" ]
+    (List.map (str "layer") layers);
+  List.iter
+    (fun j ->
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) (key ^ " present") true
+            (Option.is_some (Option.bind (Json.member key j) Json.to_float)))
+        [ "time_ms"; "minor_words" ])
+    layers;
+  let passes = List.filteri (fun i _ -> i >= 3) records in
+  Alcotest.(check bool) "pass lines follow" true
+    (passes <> [] && List.for_all (fun j -> str "pass" j <> "") passes)
+
 let test_tbaad_usage_errors () =
   let code, err = run_capturing (tbaad ^ " --no-such-flag") in
   Alcotest.(check int) "exit code" 2 code;
@@ -931,6 +969,8 @@ let () =
       ( "binaries",
         [ Alcotest.test_case "tbaac usage errors" `Quick
             test_tbaac_usage_errors;
+          Alcotest.test_case "tbaac stats layers" `Quick
+            test_tbaac_stats_layers;
           Alcotest.test_case "tbaad usage errors" `Quick
             test_tbaad_usage_errors;
           Alcotest.test_case "tbaad stdio session" `Quick

@@ -19,6 +19,62 @@ let test_ident_fresh () =
   let again = Ident.intern (Ident.name f1) in
   Alcotest.(check bool) "fresh is interned" true (Ident.equal f1 again)
 
+(* Two domains intern overlapping name sets (and mint fresh names) at
+   once; every spelling must end with exactly one ident, and fresh names
+   must stay distinct. *)
+let ident_race round =
+  let names lo hi =
+    Array.init (hi - lo) (fun i -> Printf.sprintf "race%d_%d" round (lo + i))
+  in
+  let ready = Atomic.make 0 in
+  let worker ns () =
+    (* start together, so the two domains really overlap *)
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let ids = Array.map Ident.intern ns in
+    let fresh = Array.init 500 (fun _ -> Ident.fresh "race") in
+    (ns, ids, fresh)
+  in
+  (* one domain climbs, the other descends: they meet in the shared range *)
+  let down = names 3000 9000 in
+  let n = Array.length down in
+  let down = Array.init n (fun i -> down.(n - 1 - i)) in
+  let a = Domain.spawn (worker (names 0 6000)) and b = Domain.spawn (worker down) in
+  let results = [ Domain.join a; Domain.join b ] in
+  let by_name = Hashtbl.create 9000 in
+  List.iter
+    (fun (ns, ids, _) ->
+      Array.iteri
+        (fun i n ->
+          let id = ids.(i) in
+          Alcotest.(check string) "spelling" n (Ident.name id);
+          match Hashtbl.find_opt by_name n with
+          | Some prev -> Alcotest.(check int) (n ^ ": one id") (Ident.id prev) (Ident.id id)
+          | None -> Hashtbl.add by_name n id)
+        ns)
+    results;
+  Alcotest.(check int) "every name seen" 9000 (Hashtbl.length by_name);
+  let ids = Hashtbl.create 9000 in
+  Hashtbl.iter
+    (fun n id ->
+      Alcotest.(check int) (n ^ ": stable") (Ident.id id) (Ident.id (Ident.intern n));
+      Alcotest.(check bool) (n ^ ": id unique") false (Hashtbl.mem ids (Ident.id id));
+      Hashtbl.add ids (Ident.id id) ())
+    by_name;
+  let fresh = List.concat_map (fun (_, _, f) -> Array.to_list f) results in
+  let spellings = List.sort_uniq String.compare (List.map Ident.name fresh) in
+  Alcotest.(check int) "fresh names distinct" 1000 (List.length spellings);
+  List.iter
+    (fun f -> Alcotest.(check bool) "fresh is interned" true (Ident.equal f (Ident.intern (Ident.name f))))
+    fresh
+
+let test_ident_domains () =
+  for round = 1 to 6 do
+    ident_race round
+  done
+
 let test_union_find_basic () =
   let uf = Union_find.create 8 in
   Alcotest.(check bool) "initially apart" false (Union_find.same uf 0 1);
@@ -356,7 +412,8 @@ let () =
   Alcotest.run "support"
     [ ( "ident",
         [ Alcotest.test_case "interning" `Quick test_ident_interning;
-          Alcotest.test_case "fresh" `Quick test_ident_fresh ] );
+          Alcotest.test_case "fresh" `Quick test_ident_fresh;
+          Alcotest.test_case "two domains" `Quick test_ident_domains ] );
       ( "union_find",
         [ Alcotest.test_case "basic" `Quick test_union_find_basic;
           Alcotest.test_case "groups" `Quick test_union_find_groups;
