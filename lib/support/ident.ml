@@ -17,7 +17,17 @@ let intern_locked name =
     Hashtbl.add table name t;
     t
 
-let intern name = Mutex.protect lock (fun () -> intern_locked name)
+(* [Hashtbl] raises nothing here but [Out_of_memory]; no closure is
+   allocated on this path, which lowering takes for every temporary. *)
+let intern name =
+  Mutex.lock lock;
+  match intern_locked name with
+  | t ->
+    Mutex.unlock lock;
+    t
+  | exception e ->
+    Mutex.unlock lock;
+    raise e
 
 let name t = t.name
 let id t = t.id
