@@ -14,6 +14,8 @@ type t = {
   count : int;
   names : string array;  (* distinct spellings, keywords included *)
   idents : Ident.t option array;  (* [names.(k)] once interned *)
+  loc_tok : int array;  (* direct-mapped cache of built locations: *)
+  loc_val : Loc.t array;  (* slot [i land loc_mask] holds token [i]'s *)
 }
 
 let col_bits = 32
@@ -23,7 +25,19 @@ let count t = t.count
 let token t i = t.toks.(i)
 let line t i = t.lcs.(i) lsr col_bits
 let col t i = t.lcs.(i) land col_mask
-let loc t i = Loc.make ~file:t.file ~line:(line t i) ~col:(col t i)
+let loc_mask = 255
+
+(* Nodes that start at one token share its location, as long as the
+   token is among the last few hundred asked for. *)
+let loc t i =
+  let slot = i land loc_mask in
+  if t.loc_tok.(slot) = i then t.loc_val.(slot)
+  else begin
+    let l = Loc.make ~file:t.file ~line:(line t i) ~col:(col t i) in
+    t.loc_tok.(slot) <- i;
+    t.loc_val.(slot) <- l;
+    l
+  end
 
 let ident t i =
   let k = t.name_ix.(i) in
@@ -296,4 +310,6 @@ let scan ~file src =
   done;
   { file; toks = o.o_toks; lcs = o.o_lcs; name_ix = o.o_names; count = o.n;
     names = Array.sub sp.ent_str 0 sp.n_ent;
-    idents = Array.make sp.n_ent None }
+    idents = Array.make sp.n_ent None;
+    loc_tok = Array.make (loc_mask + 1) (-1);
+    loc_val = Array.make (loc_mask + 1) Loc.dummy }
