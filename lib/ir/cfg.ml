@@ -64,10 +64,13 @@ let find_proc program name =
 let find_proc_opt program name =
   List.find_opt (fun p -> Ident.equal p.pr_name name) program.prog_procs
 
-let fresh_var program ~name ~ty ~kind =
+let new_var program ~name ~ty ~kind =
   let id = program.next_var_id in
   program.next_var_id <- id + 1;
-  { Reg.v_id = id; v_name = Ident.intern name; v_ty = ty; v_kind = kind }
+  { Reg.v_id = id; v_name = name; v_ty = ty; v_kind = kind }
+
+let fresh_var program ~name ~ty ~kind =
+  new_var program ~name:(Ident.intern name) ~ty ~kind
 
 let iter_instrs proc f =
   Vec.iter (fun b -> List.iter (f b) b.b_instrs) proc.pr_blocks

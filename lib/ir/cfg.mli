@@ -55,6 +55,10 @@ val fresh_var :
   program -> name:string -> ty:Types.tid -> kind:Reg.kind -> Reg.var
 (** Allocate a program-unique variable. *)
 
+val new_var :
+  program -> name:Ident.t -> ty:Types.tid -> kind:Reg.kind -> Reg.var
+(** {!fresh_var} with the name already interned. *)
+
 type snapshot
 (** A rollback point for [restore]: the proc list, each procedure's
     entry/locals/blocks (instruction lists and terminators), and the

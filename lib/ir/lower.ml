@@ -14,6 +14,8 @@ type state = {
   mutable env : binding Ident.Map.t;
   mutable exit_stack : int list;  (* EXIT jump targets, innermost first *)
   globals : Reg.var Ident.Tbl.t;
+  mutable temp_name : Ident.t option;  (* "t", interned on first use *)
+  mutable addr_name : Ident.t option;  (* "a", likewise *)
 }
 
 let tenv st = st.program.Cfg.tenv
@@ -30,8 +32,29 @@ let terminate st term next =
   st.cur.Cfg.b_term <- term;
   switch_to st next
 
-let fresh_temp st ~ty = Cfg.fresh_var st.program ~name:"t" ~ty ~kind:Reg.Vtemp
-let fresh_addr st ~ty = Cfg.fresh_var st.program ~name:"a" ~ty ~kind:Reg.Vaddr
+(* Interning once per procedure keeps each name's first interning, and
+   so its id, where it was. *)
+let fresh_temp st ~ty =
+  let name =
+    match st.temp_name with
+    | Some name -> name
+    | None ->
+      let name = Ident.intern "t" in
+      st.temp_name <- Some name;
+      name
+  in
+  Cfg.new_var st.program ~name ~ty ~kind:Reg.Vtemp
+
+let fresh_addr st ~ty =
+  let name =
+    match st.addr_name with
+    | Some name -> name
+    | None ->
+      let name = Ident.intern "a" in
+      st.addr_name <- Some name;
+      name
+  in
+  Cfg.new_var st.program ~name ~ty ~kind:Reg.Vaddr
 
 let lookup st name =
   match Ident.Map.find_opt name st.env with
@@ -223,8 +246,8 @@ and lower_stmt st (s : Tast.stmt) =
     terminate st (Instr.Tjump body_b.Cfg.b_id) after
   | Tast.Sfor (vr, lo, hi, step, body) ->
     let iv =
-      Cfg.fresh_var st.program ~name:(Ident.name vr.Tast.vr_name)
-        ~ty:Types.tid_int ~kind:Reg.Vlocal
+      Cfg.new_var st.program ~name:vr.Tast.vr_name ~ty:Types.tid_int
+        ~kind:Reg.Vlocal
     in
     let limit = fresh_temp st ~ty:Types.tid_int in
     let vlo = lower_expr st lo in
@@ -273,8 +296,8 @@ and lower_stmt st (s : Tast.stmt) =
         else begin
           let a = lower_expr st wb.Tast.wb_expr in
           let t =
-            Cfg.fresh_var st.program ~name:(Ident.name name)
-              ~ty:wb.Tast.wb_expr.Tast.ty ~kind:Reg.Vlocal
+            Cfg.new_var st.program ~name ~ty:wb.Tast.wb_expr.Tast.ty
+              ~kind:Reg.Vlocal
           in
           emit st (Instr.Iassign (t, Instr.Ratom a));
           st.env <- Ident.Map.add name (Bdirect t) st.env
@@ -324,6 +347,7 @@ let lower_proc program tast globals (tp : Tast.proc) : Cfg.proc =
   let entry = Cfg.new_block proc (Instr.Treturn None) in
   let st =
     { program; tast; proc; cur = entry; cur_rev = []; env = Ident.Map.empty;
+      temp_name = None; addr_name = None;
       exit_stack = []; globals }
   in
   (* By-reference formals hold addresses: every use goes through an
@@ -341,7 +365,7 @@ let lower_proc program tast globals (tp : Tast.proc) : Cfg.proc =
   let locals =
     List.map
       (fun (name, ty, init) ->
-        let v = Cfg.fresh_var program ~name:(Ident.name name) ~ty ~kind:Reg.Vlocal in
+        let v = Cfg.new_var program ~name ~ty ~kind:Reg.Vlocal in
         st.env <- Ident.Map.add name (Bdirect v) st.env;
         (v, init))
       tp.Tast.p_locals
@@ -370,7 +394,7 @@ let lower_program (tast : Tast.program) : Cfg.program =
   let global_vars =
     List.map
       (fun (name, ty, _) ->
-        let v = Cfg.fresh_var program ~name:(Ident.name name) ~ty ~kind:Reg.Vglobal in
+        let v = Cfg.new_var program ~name ~ty ~kind:Reg.Vglobal in
         Ident.Tbl.add globals name v;
         v)
       tast.Tast.globals
@@ -391,6 +415,7 @@ let lower_program (tast : Tast.program) : Cfg.program =
     let init_block = Cfg.new_block main (Instr.Tjump main.Cfg.pr_entry) in
     let st =
       { program; tast; proc = main; cur = init_block; cur_rev = [];
+        temp_name = None; addr_name = None;
         env = Ident.Map.empty; exit_stack = []; globals }
     in
     List.iter
