@@ -32,8 +32,8 @@ let terminate st term next =
   st.cur.Cfg.b_term <- term;
   switch_to st next
 
-(* Interning once per procedure keeps each name's first interning, and
-   so its id, where it was. *)
+(* Each procedure interns the names on its first temporary, not the
+   module on load, so ident ids keep following first use. *)
 let fresh_temp st ~ty =
   let name =
     match st.temp_name with

@@ -57,9 +57,4 @@ let to_string = function
   | LPAREN -> "(" | RPAREN -> ")" | LBRACKET -> "[" | RBRACKET -> "]"
   | CARET -> "^" | DOT -> "." | DOTDOT -> ".." | EOF -> "<eof>"
 
-let equal a b =
-  match (a, b) with
-  | IDENT x, IDENT y | STRING x, STRING y -> String.equal x y
-  | INT x, INT y -> Int.equal x y
-  | CHARLIT x, CHARLIT y -> Char.equal x y
-  | _ -> a == b  (* payload-free tokens are immediates *)
+let equal (a : t) (b : t) = a = b

@@ -941,9 +941,8 @@ let test_golden_recovery () =
 
 (* Sequential allocation is deterministic, so the front end's is gated.
    Measured for scale200 (after a warm-up parse, so every name is
-   already interned): parse 102,124 minor words, typecheck 138,709 (the
-   front end these replaced allocated 699,952 and 534,766). The ceilings
-   are ~1.25x the measured values. *)
+   already interned): parse 102,124 minor words, typecheck 138,709. The
+   ceilings are ~1.25x the measured values. *)
 let parse_ceiling = 128_000.
 let typecheck_ceiling = 174_000.
 
