@@ -14,8 +14,7 @@ type state = {
   mutable env : binding Ident.Map.t;
   mutable exit_stack : int list;  (* EXIT jump targets, innermost first *)
   globals : Reg.var Ident.Tbl.t;
-  mutable temp_name : Ident.t option;  (* "t", interned on first use *)
-  mutable addr_name : Ident.t option;  (* "a", likewise *)
+  temp_names : Ident.t option array;  (* "t" and "a", once interned *)
 }
 
 let tenv st = st.program.Cfg.tenv
@@ -32,29 +31,21 @@ let terminate st term next =
   st.cur.Cfg.b_term <- term;
   switch_to st next
 
-(* Each procedure interns the names on its first temporary, not the
+(* Each procedure interns a temporary's name on its first use, not the
    module on load, so ident ids keep following first use. *)
-let fresh_temp st ~ty =
+let temp_var st slot spelling kind ~ty =
   let name =
-    match st.temp_name with
+    match st.temp_names.(slot) with
     | Some name -> name
     | None ->
-      let name = Ident.intern "t" in
-      st.temp_name <- Some name;
+      let name = Ident.intern spelling in
+      st.temp_names.(slot) <- Some name;
       name
   in
-  Cfg.new_var st.program ~name ~ty ~kind:Reg.Vtemp
+  Cfg.new_var st.program ~name ~ty ~kind
 
-let fresh_addr st ~ty =
-  let name =
-    match st.addr_name with
-    | Some name -> name
-    | None ->
-      let name = Ident.intern "a" in
-      st.addr_name <- Some name;
-      name
-  in
-  Cfg.new_var st.program ~name ~ty ~kind:Reg.Vaddr
+let fresh_temp st ~ty = temp_var st 0 "t" Reg.Vtemp ~ty
+let fresh_addr st ~ty = temp_var st 1 "a" Reg.Vaddr ~ty
 
 let lookup st name =
   match Ident.Map.find_opt name st.env with
@@ -347,7 +338,7 @@ let lower_proc program tast globals (tp : Tast.proc) : Cfg.proc =
   let entry = Cfg.new_block proc (Instr.Treturn None) in
   let st =
     { program; tast; proc; cur = entry; cur_rev = []; env = Ident.Map.empty;
-      temp_name = None; addr_name = None;
+      temp_names = [| None; None |];
       exit_stack = []; globals }
   in
   (* By-reference formals hold addresses: every use goes through an
@@ -415,7 +406,7 @@ let lower_program (tast : Tast.program) : Cfg.program =
     let init_block = Cfg.new_block main (Instr.Tjump main.Cfg.pr_entry) in
     let st =
       { program; tast; proc = main; cur = init_block; cur_rev = [];
-        temp_name = None; addr_name = None;
+        temp_names = [| None; None |];
         env = Ident.Map.empty; exit_stack = []; globals }
     in
     List.iter

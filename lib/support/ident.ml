@@ -17,8 +17,8 @@ let intern_locked name =
     Hashtbl.add table name t;
     t
 
-(* [Hashtbl] raises nothing here but [Out_of_memory]; no closure is
-   allocated on this path, which lowering takes for every temporary. *)
+(* Locked by hand, not with [Mutex.protect], so an intern allocates
+   nothing; [Hashtbl] raises nothing here but [Out_of_memory]. *)
 let intern name =
   Mutex.lock lock;
   match intern_locked name with
