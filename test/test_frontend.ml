@@ -799,19 +799,17 @@ let malformed =
     ("method", "MODULE M; TYPE T = OBJECT METHODS m (x INTEGER); END; BEGIN END M.");
     ("trailing", "MODULE M; BEGIN END M. x") ]
 
-let diag_line d = Diag.to_string d
-
 let malformed_lines () =
   List.map
     (fun (name, src) ->
       match Parser.parse_module ~file:"bad" src with
-      | exception Diag.Compile_error d -> name ^ ": " ^ diag_line d
+      | exception Diag.Compile_error d -> name ^ ": " ^ Diag.to_string d
       | _ -> name ^ ": parsed")
     malformed
   @ List.map
       (fun src ->
         match Parser.parse_expr_string src with
-        | exception Diag.Compile_error d -> "expr " ^ src ^ ": " ^ diag_line d
+        | exception Diag.Compile_error d -> "expr " ^ src ^ ": " ^ Diag.to_string d
         | _ -> "expr " ^ src ^ ": parsed")
       [ "a b"; "a < b = c"; "(a"; "a.1"; "NEW (T"; "f (x,)" ]
 
@@ -906,7 +904,7 @@ let recovery_lines () =
     (fun src ->
       match Typecheck.check_string_all ~file:"rec" src with
       | Ok _ -> [ "ok" ]
-      | Error ds -> "--" :: List.map diag_line ds)
+      | Error ds -> "--" :: List.map Diag.to_string ds)
     recovery
 
 let expected_recovery =
