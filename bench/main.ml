@@ -56,16 +56,16 @@ let tests =
     (* Table 5: the static alias-pair metric on the largest program. *)
     Test.make ~name:"table5:alias-pairs-m3cg"
       (let program = lowered "m3cg" in
-       let a = Tbaa.Analysis.analyze program in
+       let e = Tbaa.Engine.create program in
        Staged.stage (fun () ->
-           Tbaa.Alias_pairs.count a.Tbaa.Analysis.sm_field_type_refs
-             a.Tbaa.Analysis.facts));
+           Tbaa.Alias_pairs.count
+             (Tbaa.Engine.oracle e Tbaa.Engine.Sm_field_type_refs)
+             (Tbaa.Engine.facts e)));
     (* Table 6 / Figure 8: the optimizer itself. *)
     Test.make ~name:"table6:rle-m3cg"
       (Staged.stage (fun () ->
-           let program = lowered "m3cg" in
-           let a = Tbaa.Analysis.analyze program in
-           Opt.Rle.run program a.Tbaa.Analysis.sm_field_type_refs));
+           Opt.Pass_manager.run (Opt.Pass.create ()) (lowered "m3cg")
+             [ Opt.Pass_manager.Run Opt.Rle.pass ]));
     Test.make ~name:"fig8:prepare-format"
       (Staged.stage (fun () ->
            Harness.Runner.prepare (workload "format")
@@ -80,15 +80,18 @@ let tests =
     Test.make ~name:"fig11:devirt-inline-ktree"
       (Staged.stage (fun () ->
            let program = lowered "ktree" in
-           let a = Tbaa.Analysis.analyze program in
+           let e = Tbaa.Engine.create program in
            let _ =
-             Opt.Devirt.run program ~type_refs:a.Tbaa.Analysis.type_refs_table
+             Opt.Devirt.run program ~type_refs:(Tbaa.Engine.type_refs_table e)
            in
            Opt.Inline.run program));
     (* Figure 12: the open-world analysis. *)
     Test.make ~name:"fig12:analyze-open-m3cg"
       (let program = lowered "m3cg" in
-       Staged.stage (fun () -> Tbaa.Analysis.analyze ~world:Tbaa.World.Open program));
+       let config =
+         { Tbaa.Engine.default_config with Tbaa.Engine.world = Tbaa.World.Open }
+       in
+       Staged.stage (fun () -> Tbaa.Engine.create ~config program));
     (* ABL1: the two merge formulations (paper footnote 2). *)
     Test.make ~name:"abl1:merge-grouped-m3cg"
       (let facts = Tbaa.Facts.collect (lowered "m3cg") in
@@ -106,7 +109,7 @@ let tests =
     (fun n ->
       let program = Ir.Lower.lower_string ~file:"scale" (synthetic n) in
       Test.make ~name:(Printf.sprintf "abl4:analyze-n%d" n)
-        (Staged.stage (fun () -> Tbaa.Analysis.analyze program)))
+        (Staged.stage (fun () -> Tbaa.Engine.create program)))
     [ 25; 50; 100; 200 ]
 
 (* ------------------------------------------------------------------ *)

@@ -133,8 +133,12 @@ let aliases_cmd =
   let run file workload world show_trt =
     with_source file workload (fun name src ->
         let program = Ir.Lower.lower_string ~file:name src in
-        let a = Tbaa.Analysis.analyze ~world program in
-        let facts = a.Tbaa.Analysis.facts in
+        let e =
+          Tbaa.Engine.create
+            ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world }
+            program
+        in
+        let facts = Tbaa.Engine.facts e in
         Printf.printf "heap memory references: %d\n"
           (List.length facts.Tbaa.Facts.memrefs);
         List.iter
@@ -146,13 +150,13 @@ let aliases_cmd =
               (Tbaa.Alias_pairs.average_local c)
               c.Tbaa.Alias_pairs.global_pairs
               (Tbaa.Alias_pairs.average_global c))
-          (Tbaa.Analysis.oracles a);
+          (Tbaa.Engine.oracles e);
         if show_trt then begin
           let tenv = facts.Tbaa.Facts.tenv in
           Printf.printf "\nTypeRefsTable (pointer types):\n";
           for t = 0 to Minim3.Types.count tenv - 1 do
             if Minim3.Types.is_pointer tenv t && t <> Minim3.Types.tid_null then begin
-              let refs = a.Tbaa.Analysis.type_refs_table t in
+              let refs = Tbaa.Engine.type_refs_table e t in
               Printf.printf "  %-28s -> { %s }\n"
                 (Minim3.Types.to_string tenv t)
                 (String.concat ", "
@@ -192,9 +196,12 @@ let optimize_cmd =
                 rle = true; copyprop; dse; local_cse = false };
             jobs }
         in
-        let result =
-          if verify then Opt.Pipeline.run_guarded ~verify:true program config
-          else Opt.Pipeline.run program config
+        let ctx = Opt.Pipeline.context_of_config config in
+        let schedule = Opt.Pipeline.schedule_of_config config in
+        let reports =
+          if verify then
+            Opt.Pass_manager.run_guarded ~verify:true ctx program schedule
+          else Opt.Pass_manager.run ctx program schedule
         in
         if stats then begin
           let config_desc =
@@ -231,46 +238,40 @@ let optimize_cmd =
                 | j -> j
               in
               print_endline (Support.Json.to_string record))
-            result.Opt.Pipeline.reports
+            reports
         end;
-        (match result.Opt.Pipeline.devirt_stats with
-        | Some d ->
+        let ran p = Opt.Pass_manager.ran p reports in
+        let sum p stat = Opt.Pass_manager.sum_stat p stat reports in
+        if ran "devirt" then
+          (* later rounds re-count call sites the first round already saw
+             (possibly duplicated by inlining), so "kept virtual" is the
+             first round's count *)
           Printf.printf "devirtualized: %d resolved, %d kept virtual\n"
-            d.Opt.Devirt.resolved d.Opt.Devirt.unresolved
-        | None -> ());
-        (match result.Opt.Pipeline.inline_stats with
-        | Some i -> Printf.printf "inlined: %d call sites\n" i.Opt.Inline.inlined
-        | None -> ());
-        (match result.Opt.Pipeline.pre_stats with
-        | Some p ->
+            (sum "devirt" "resolved")
+            (Opt.Pass_manager.first_stat "devirt" "unresolved" reports);
+        if ran "inline" then
+          Printf.printf "inlined: %d call sites\n" (sum "inline" "inlined");
+        if ran "pre" then
           Printf.printf "PRE: %d loads inserted, %d edges split\n"
-            p.Opt.Pre.inserted p.Opt.Pre.edges_split
-        | None -> ());
-        (match result.Opt.Pipeline.copyprop_stats with
-        | Some c -> Printf.printf "copy propagation: %d uses rewritten\n"
-            c.Opt.Copyprop.replaced
-        | None -> ());
-        (match result.Opt.Pipeline.licm_stats with
-        | Some l -> Printf.printf "LICM: %d loads hoisted\n" l.Opt.Licm.hoisted
-        | None -> ());
-        (match result.Opt.Pipeline.slf_stats with
-        | Some s ->
+            (sum "pre" "inserted") (sum "pre" "edges_split");
+        if ran "copyprop" then
+          Printf.printf "copy propagation: %d uses rewritten\n"
+            (sum "copyprop" "replaced");
+        if ran "licm" then
+          Printf.printf "LICM: %d loads hoisted\n" (sum "licm" "hoisted");
+        if ran "slf" then
           Printf.printf "store-to-load forwarding: %d loads forwarded\n"
-            s.Opt.Slf.forwarded
-        | None -> ());
-        (match result.Opt.Pipeline.dse_stats with
-        | Some d ->
-          Printf.printf "DSE: %d dead stores removed\n" d.Opt.Dse.removed
-        | None -> ());
-        (match result.Opt.Pipeline.rle_stats with
-        | Some s ->
+            (sum "slf" "forwarded");
+        if ran "dse" then
+          Printf.printf "DSE: %d dead stores removed\n" (sum "dse" "removed");
+        if ran "rle" then begin
+          let h = sum "rle" "hoisted" and e = sum "rle" "eliminated"
+          and s = sum "rle" "shortened" in
           Printf.printf
             "RLE (%s): %d hoisted, %d eliminated, %d shortened (%d removed)\n"
-            (Opt.Pipeline.oracle_name analysis)
-            s.Opt.Rle.hoisted s.Opt.Rle.eliminated s.Opt.Rle.shortened
-            (Opt.Rle.removed s)
-        | None -> ());
-        let failures = Opt.Pass_manager.failures result.Opt.Pipeline.reports in
+            (Opt.Pipeline.oracle_name analysis) h e s (h + e + s)
+        end;
+        let failures = Opt.Pass_manager.failures reports in
         if failures <> [] then begin
           List.iter
             (fun (pass, why) ->
@@ -358,24 +359,19 @@ let run_cmd =
   let run file workload optimize analysis audit fuel quiet reference =
     with_source file workload (fun name src ->
         let program = Ir.Lower.lower_string ~file:name src in
-        let optimize = optimize || audit in
-        let auditor =
-          if optimize then begin
-            let a = Tbaa.Analysis.analyze program in
-            let oracle = Opt.Pipeline.select a analysis in
-            if audit then begin
-              let claims = Tbaa.Claims.create ~oracle:oracle.Tbaa.Oracle.name in
-              ignore (Opt.Rle.run ~claims program oracle);
-              Some (Sim.Audit.create claims, claims)
-            end
-            else begin
-              ignore (Opt.Rle.run program oracle);
-              None
-            end
-          end
+        let ctx = Opt.Pass.create ~oracle_kind:analysis () in
+        let claims =
+          if audit then
+            Some (Tbaa.Claims.create ~oracle:(Opt.Pass.oracle_name analysis))
           else None
         in
-        ignore (Opt.Local_cse.run program);
+        ctx.Opt.Pass.claims <- claims;
+        ignore
+          (Opt.Pass_manager.run ctx program
+             ((if optimize || audit then [ Opt.Pass_manager.Run Opt.Rle.pass ]
+               else [])
+             @ [ Opt.Pass_manager.Run Opt.Local_cse.pass ]));
+        let auditor = Option.map (fun c -> (Sim.Audit.create c, c)) claims in
         let on_access =
           Option.map (fun (a, _) ac -> Sim.Audit.on_access a ac) auditor
         in
@@ -482,11 +478,13 @@ let audit_cmd =
                   local_cse = false };
               jobs = 1 }
           in
-          let result =
-            Opt.Pipeline.run_guarded ~verify:true ~claims ?fault program config
-          in
+          let ctx = Opt.Pipeline.context_of_config config in
+          ctx.Opt.Pass.claims <- Some claims;
+          ctx.Opt.Pass.fault <- fault;
           let failures =
-            Opt.Pass_manager.failures result.Opt.Pipeline.reports
+            Opt.Pass_manager.failures
+              (Opt.Pass_manager.run_guarded ~verify:true ctx program
+                 (Opt.Pipeline.schedule_of_config config))
           in
           let auditor = Sim.Audit.create claims in
           let o =

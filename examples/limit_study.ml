@@ -10,10 +10,14 @@
 
 let trace ~optimize w =
   let program = Workloads.Workload.lower w in
-  let analysis = Tbaa.Analysis.analyze program in
-  let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-  if optimize then ignore (Opt.Rle.run program oracle);
-  ignore (Opt.Local_cse.run program);
+  let oracle =
+    Tbaa.Engine.oracle (Tbaa.Engine.create program)
+      Tbaa.Engine.Sm_field_type_refs
+  in
+  ignore
+    (Opt.Pass_manager.run (Opt.Pass.create ()) program
+       ((if optimize then [ Opt.Pass_manager.Run Opt.Rle.pass ] else [])
+       @ [ Opt.Pass_manager.Run Opt.Local_cse.pass ]));
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
   (program, oracle, tracer)

@@ -52,20 +52,27 @@ BEGIN
 END ListPackage.
 |}
 
+(* Loads RLE removes from the program under one oracle. *)
+let rle_removed kind program =
+  let reports =
+    Opt.Pass_manager.run (Opt.Pass.create ~oracle_kind:kind ()) program
+      [ Opt.Pass_manager.Run Opt.Rle.pass ]
+  in
+  List.fold_left
+    (fun n stat -> n + Opt.Pass_manager.sum_stat "rle" stat reports)
+    0 [ "hoisted"; "eliminated"; "shortened" ]
+
 let () =
   print_endline "List-package example (paper §2.4 motivation)\n";
   List.iter
     (fun kind ->
       let program = Lower.lower_string ~file:"list_package" real_source in
-      let analysis = Tbaa.Analysis.analyze program in
-      let oracle = Opt.Pipeline.select analysis kind in
-      let stats = Opt.Rle.run program oracle in
+      let removed = rle_removed kind program in
       let outcome = Sim.Interp.run program in
       Printf.printf
         "%-16s removed %d loads statically; dynamic heap loads: %d (output %s)\n"
         (Opt.Pipeline.oracle_name kind)
-        (Opt.Rle.removed stats)
-        outcome.Sim.Interp.counters.Sim.Interp.heap_loads
+        removed outcome.Sim.Interp.counters.Sim.Interp.heap_loads
         (String.trim outcome.Sim.Interp.output))
     [ Opt.Pipeline.Otype_decl; Opt.Pipeline.Ofield_type_decl;
       Opt.Pipeline.Osm_field_type_refs ];
@@ -103,10 +110,8 @@ END Tricky.
   List.iter
     (fun kind ->
       let program = Lower.lower_string ~file:"tricky" tricky in
-      let analysis = Tbaa.Analysis.analyze program in
-      let stats = Opt.Rle.run program (Opt.Pipeline.select analysis kind) in
       Printf.printf "%-16s removed %d loads statically\n"
         (Opt.Pipeline.oracle_name kind)
-        (Opt.Rle.removed stats))
+        (rle_removed kind program))
     [ Opt.Pipeline.Otype_decl; Opt.Pipeline.Ofield_type_decl;
       Opt.Pipeline.Osm_field_type_refs ]

@@ -87,17 +87,28 @@ let report ~branded =
   List.iter
     (fun world ->
       let program = Lower.lower_string ~file:"cache" (library ~branded) in
-      let analysis = Tbaa.Analysis.analyze ~world program in
-      let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-      let pairs = Tbaa.Alias_pairs.count oracle analysis.Tbaa.Analysis.facts in
-      let stats = Opt.Rle.run program oracle in
+      let ctx = Opt.Pass.create ~world () in
+      let e = Opt.Pass.analysis ctx program in
+      let pairs =
+        Tbaa.Alias_pairs.count
+          (Tbaa.Engine.oracle e Tbaa.Engine.Sm_field_type_refs)
+          (Tbaa.Engine.facts e)
+      in
+      let reports =
+        Opt.Pass_manager.run ctx program [ Opt.Pass_manager.Run Opt.Rle.pass ]
+      in
+      let removed =
+        List.fold_left
+          (fun n stat -> n + Opt.Pass_manager.sum_stat "rle" stat reports)
+          0 [ "hoisted"; "eliminated"; "shortened" ]
+      in
       let outcome = Sim.Interp.run program in
       Printf.printf
         "%-6s world: %3d local / %3d global alias pairs; RLE removed %d; \
          heap loads %d\n"
         (Tbaa.World.to_string world)
         pairs.Tbaa.Alias_pairs.local_pairs pairs.Tbaa.Alias_pairs.global_pairs
-        (Opt.Rle.removed stats)
+        removed
         outcome.Sim.Interp.counters.Sim.Interp.heap_loads)
     [ Tbaa.World.Closed; Tbaa.World.Open ]
 

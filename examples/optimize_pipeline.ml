@@ -1,9 +1,10 @@
 (* The full whole-program-optimizer pipeline on a real workload.
 
    Takes the k-tree benchmark from the built-in suite and walks the same
-   steps the experiment harness uses: lower, analyze, devirtualize +
-   inline, re-analyze, RLE, baseline local CSE — reporting what each pass
-   did and how the simulated machine numbers move.
+   steps the experiment harness uses — devirtualize + inline, RLE,
+   baseline local CSE, each pass run by the pass manager over one shared
+   analysis context — reporting what each pass did and how the simulated
+   machine numbers move.
 
      dune exec examples/optimize_pipeline.exe *)
 
@@ -20,27 +21,37 @@ let () =
 
   (* Base: what GCC-with-standard-optimizations would see. *)
   let base = Workloads.Workload.lower w in
-  ignore (Opt.Local_cse.run base);
+  ignore
+    (Opt.Pass_manager.run (Opt.Pass.create ()) base
+       [ Opt.Pass_manager.Run Opt.Local_cse.pass ]);
   let base_out = Sim.Interp.run base in
   describe "base" base_out;
 
-  (* Step 1: method invocation resolution + inlining. *)
+  (* One context carries the analysis from pass to pass: the manager
+     re-analyzes (incrementally) after each pass that changed the code. *)
   let program = Workloads.Workload.lower w in
-  let pre = Tbaa.Analysis.analyze program in
-  let d = Opt.Devirt.run program ~type_refs:pre.Tbaa.Analysis.type_refs_table in
-  let i = Opt.Inline.run program in
-  Printf.printf "\ndevirt: %d resolved, %d left virtual; inlined %d sites\n"
-    d.Opt.Devirt.resolved d.Opt.Devirt.unresolved i.Opt.Inline.inlined;
+  let ctx = Opt.Pass.create () in
+  let step pass =
+    match Opt.Pass_manager.run ctx program [ Opt.Pass_manager.Run pass ] with
+    | [ r ] -> r
+    | _ -> assert false
+  in
 
-  (* Step 2: re-analyze the transformed program and run RLE. *)
-  let analysis = Tbaa.Analysis.analyze program in
-  let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-  let stats = Opt.Rle.run program oracle in
+  (* Step 1: method invocation resolution + inlining. *)
+  let d = step Opt.Devirt.pass in
+  let i = step Opt.Inline.pass in
+  Printf.printf "\ndevirt: %d resolved, %d left virtual; inlined %d sites\n"
+    (Opt.Pass.stat d "resolved") (Opt.Pass.stat d "unresolved")
+    (Opt.Pass.stat i "inlined");
+
+  (* Step 2: RLE over the transformed program. *)
+  let rle = step Opt.Rle.pass in
   Printf.printf "RLE: %d hoisted, %d eliminated, %d shortened\n\n"
-    stats.Opt.Rle.hoisted stats.Opt.Rle.eliminated stats.Opt.Rle.shortened;
+    (Opt.Pass.stat rle "hoisted") (Opt.Pass.stat rle "eliminated")
+    (Opt.Pass.stat rle "shortened");
 
   (* Step 3: the GCC-like baseline runs over everything. *)
-  ignore (Opt.Local_cse.run program);
+  ignore (step Opt.Local_cse.pass);
   let opt_out = Sim.Interp.run program in
   describe "optimized" opt_out;
 

@@ -47,8 +47,9 @@ let () =
   (* 1. Front end: parse, typecheck, lower to the IR. *)
   let program = Lower.lower_string ~file:"figure3" source in
   (* 2. Analyze: collect facts once, build the three oracles. *)
-  let analysis = Tbaa.Analysis.analyze program in
-  let tenv = analysis.Tbaa.Analysis.facts.Tbaa.Facts.tenv in
+  let engine = Tbaa.Engine.create program in
+  let facts = Tbaa.Engine.facts engine in
+  let tenv = facts.Tbaa.Facts.tenv in
 
   (* 3. The TypeRefsTable — this is the paper's Table 3. *)
   print_endline "TypeRefsTable (paper Table 3):";
@@ -62,7 +63,7 @@ let () =
       in
       Printf.printf "  %-3s -> { %s }\n" (String.uppercase_ascii name)
         (String.concat ", "
-           (List.map (Types.to_string tenv) (analysis.Tbaa.Analysis.type_refs_table tid))))
+           (List.map (Types.to_string tenv) (Tbaa.Engine.type_refs_table engine tid))))
     [ "t"; "s1"; "s2"; "s3" ];
 
   (* 4. May-alias queries over the references in Touch. *)
@@ -71,7 +72,7 @@ let () =
       (fun (r : Tbaa.Facts.memref) ->
         if Ident.name r.Tbaa.Facts.mr_proc = "Touch" then Some r.Tbaa.Facts.mr_path
         else None)
-      analysis.Tbaa.Analysis.facts.Tbaa.Facts.memrefs
+      facts.Tbaa.Facts.memrefs
   in
   let r i = List.nth refs i in
   let query name a b =
@@ -79,7 +80,7 @@ let () =
     List.iter
       (fun (o : Tbaa.Oracle.t) ->
         Printf.printf "  %s=%b" o.Tbaa.Oracle.name (o.Tbaa.Oracle.may_alias a b))
-      (Tbaa.Analysis.oracles analysis);
+      (Tbaa.Engine.oracles engine);
     print_newline ();
     ignore name
   in

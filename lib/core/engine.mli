@@ -27,10 +27,11 @@
     monolithic path ({!Facts.collect}, {!Opt.Modref.compute}) remains as
     the differential baseline the test suite checks against.
 
-    This supersedes calling the per-analysis [Type_decl.oracle] /
-    [Field_type_decl.oracle] / [Sm_type_refs.oracle] constructors directly;
-    those remain only as building blocks and differential baselines.
-    {!Analysis.analyze} is a thin projection of an engine. *)
+    This is the one way to obtain an analysis: the per-analysis
+    [Type_decl.oracle] / [Field_type_decl.oracle] / [Sm_type_refs.oracle]
+    constructors remain only as building blocks and differential
+    baselines, and the optimizer's {!Opt.Pass.context} memoizes an engine,
+    not a projection of one. *)
 
 open Support
 open Minim3

@@ -3,7 +3,7 @@ open Workloads
 
 (* Per-workload fresh analysis over the *unoptimized* program — the static
    metrics of Tables 5 and 6 are measured on the program as written. *)
-let analysis_of w = Tbaa.Analysis.analyze (Workload.lower w)
+let engine_of w = Tbaa.Engine.create (Workload.lower w)
 
 let dynamic_seven =
   List.filter (fun (w : Workload.t) -> w.Workload.name <> "pp") Suite.dynamic
@@ -76,13 +76,14 @@ module Table5 = struct
   let compute () =
     List.map
       (fun (w : Workload.t) ->
-        let a = analysis_of w in
-        let facts = a.Tbaa.Analysis.facts in
-        let count o = Tbaa.Alias_pairs.count o facts in
-        let td = count a.Tbaa.Analysis.type_decl in
+        let e = engine_of w in
+        let count k =
+          Tbaa.Alias_pairs.count (Tbaa.Engine.oracle e k) (Tbaa.Engine.facts e)
+        in
+        let td = count Tbaa.Engine.Type_decl in
         { name = w.Workload.name; references = td.Tbaa.Alias_pairs.references;
-          td; ftd = count a.Tbaa.Analysis.field_type_decl;
-          sm = count a.Tbaa.Analysis.sm_field_type_refs })
+          td; ftd = count Tbaa.Engine.Field_type_decl;
+          sm = count Tbaa.Engine.Sm_field_type_refs })
       Suite.all
 
   let render () =
@@ -109,9 +110,14 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-let rle_removed w kind =
+(* Loads RLE removes from the workload. [calls_kill_all] presets the
+   context's mod-ref view to {!Opt.Modref.conservative}, so every call
+   kills every load (ABL3). *)
+let rle_removed ?(calls_kill_all = false) w kind =
   let program = Workload.lower w in
   let ctx = Opt.Pass.create ~oracle_kind:kind () in
+  if calls_kill_all then
+    ctx.Opt.Pass.modref_memo <- Some (Opt.Modref.conservative program);
   let reports =
     Opt.Pass_manager.run ctx program [ Opt.Pass_manager.Run Opt.Rle.pass ]
   in
@@ -373,11 +379,7 @@ module Ablation_modref = struct
       (fun (w : Workload.t) ->
         let with_m = rle_removed w Opt.Pipeline.Osm_field_type_refs in
         let without =
-          let program = Workload.lower w in
-          let a = Tbaa.Analysis.analyze program in
-          Opt.Rle.removed
-            (Opt.Rle.run ~modref:(Opt.Modref.conservative program) program
-               a.Tbaa.Analysis.sm_field_type_refs)
+          rle_removed ~calls_kill_all:true w Opt.Pipeline.Osm_field_type_refs
         in
         { name = w.Workload.name; with_modref = with_m; without_modref = without })
       dynamic_seven

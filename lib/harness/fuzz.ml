@@ -115,15 +115,15 @@ let check_config ~fuel ~fault ~(ref_out : Sim.Interp.outcome) ~fail tast
         (* Evaluate all three analyses *fresh from the live facts* — the
            logged answer may be fault-flipped, and the program state the
            query was made against is the current one, not the final one. *)
-        match ctx.Opt.Pass.analysis_memo with
-        | None -> ()
-        | Some a ->
-          let may o = o.Tbaa.Oracle.may_alias p q in
-          let td = may a.Tbaa.Analysis.type_decl in
-          let ftd = may a.Tbaa.Analysis.field_type_decl in
-          let sm = may a.Tbaa.Analysis.sm_field_type_refs in
+        match ctx.Opt.Pass.engine_memo with
+        | Some e when ctx.Opt.Pass.analysis_current ->
+          let may k = (Tbaa.Engine.oracle e k).Tbaa.Oracle.may_alias p q in
+          let td = may Tbaa.Engine.Type_decl in
+          let ftd = may Tbaa.Engine.Field_type_decl in
+          let sm = may Tbaa.Engine.Sm_field_type_refs in
           if (ftd && not td) || (sm && not ftd) || (sm && not td) then
-            lattice := (p, q, td, ftd, sm) :: !lattice);
+            lattice := (p, q, td, ftd, sm) :: !lattice
+        | _ -> ());
   let schedule = Opt.Pipeline.schedule_of_config cfg in
   let reports = Opt.Pass_manager.run_guarded ~verify:true ctx program schedule in
   List.iter

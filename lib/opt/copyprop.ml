@@ -182,11 +182,6 @@ let run_proc program proc stats =
       proc.Cfg.pr_blocks
   end
 
-let run program =
-  let stats = { replaced = 0 } in
-  List.iter (fun proc -> run_proc program proc stats) program.Cfg.prog_procs;
-  stats
-
 let pass =
   { Pass.name = "copyprop";
     role = Pass.Enabling;

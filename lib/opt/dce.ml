@@ -117,11 +117,6 @@ let run_proc proc stats =
     done
   end
 
-let run program =
-  let stats = { removed = 0 } in
-  List.iter (fun proc -> run_proc proc stats) program.Cfg.prog_procs;
-  stats
-
 let pass =
   { Pass.name = "dce";
     role = Pass.Transform;

@@ -149,22 +149,6 @@ let run_proc ?claims index proc stats =
   in
   go claims stats.removed
 
-let run ?modref ?claims program oracle =
-  let modref =
-    match modref with
-    | Some m -> m
-    | None -> Modref.compute program oracle
-  in
-  let stats = { removed = 0 } in
-  List.iter
-    (fun proc ->
-      let index =
-        Mem_index.create ~witnesses:(Option.is_some claims) oracle modref
-      in
-      run_proc ?claims index proc stats)
-    program.Cfg.prog_procs;
-  stats
-
 let pass =
   { Pass.name = "dse";
     role = Pass.Transform;

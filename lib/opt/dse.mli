@@ -19,19 +19,6 @@
     contested cell at runtime. With [claims], every alias answer relied
     on is logged under kind ["dse"]. *)
 
-open Tbaa
-
-type stats = { mutable removed : int }
-
-val run_proc :
-  ?claims:Claims.t -> Mem_index.t -> Ir.Cfg.proc -> stats -> unit
-(** One procedure, its read sets taken from the procedure's effect index. *)
-
-val run :
-  ?modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
-(** Run over every procedure. Computes mod-ref summaries unless an
-    explicit [modref] is supplied. *)
-
 val pass : Pass.t
 (** Runs over the procedure's effect index ([Pass.pc_index]).
     [changed] and [mutated] iff any store was removed. Stats: [removed]. *)

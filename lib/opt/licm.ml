@@ -22,12 +22,7 @@ let loop_instrs proc (loop : Loops.loop) =
     (fun bid acc -> List.rev_append (Cfg.block proc bid).Cfg.b_instrs acc)
     loop.Loops.body []
 
-let hoist ?claims ?fresh program index proc stats =
-  let fresh =
-    match fresh with
-    | Some f -> f
-    | None -> fun ~name ~ty ~kind -> Cfg.fresh_var program ~name ~ty ~kind
-  in
+let hoist ?claims ~fresh index proc stats =
   let dom = Dom.compute proc in
   let loops = Loops.find proc dom in
   List.iter
@@ -108,33 +103,16 @@ let hoist ?claims ?fresh program index proc stats =
       end)
     loops
 
-let run_proc ?claims ?fresh program index proc =
+let run_proc ?claims ~fresh index proc =
   let stats = { hoisted = 0 } in
   (* Iterate so loads escape nested loops level by level; each round
      recomputes dominators over the preheaders of the previous one. *)
   let rec rounds budget prev =
-    hoist ?claims ?fresh program index proc stats;
+    hoist ?claims ~fresh index proc stats;
     if stats.hoisted > prev && budget > 0 then rounds (budget - 1) stats.hoisted
   in
   rounds 4 0;
   stats
-
-let run ?modref ?claims program oracle =
-  let modref =
-    match modref with
-    | Some m -> m
-    | None -> Modref.compute program oracle
-  in
-  let total = { hoisted = 0 } in
-  List.iter
-    (fun proc ->
-      let index =
-        Mem_index.create ~witnesses:(Option.is_some claims) oracle modref
-      in
-      let s = run_proc ?claims program index proc in
-      total.hoisted <- total.hoisted + s.hoisted)
-    program.Cfg.prog_procs;
-  total
 
 let pass =
   { Pass.name = "licm";
@@ -144,7 +122,7 @@ let pass =
         (fun pc proc ->
           let s =
             run_proc ?claims:pc.Pass.pc_claims ~fresh:pc.Pass.pc_fresh
-              pc.Pass.pc_program pc.Pass.pc_index proc
+              pc.Pass.pc_index proc
           in
           { Pass.stats = [ ("hoisted", s.hoisted) ];
             changed = s.hoisted > 0;

@@ -14,23 +14,6 @@
     relied on is logged under kind ["licm"], and the home temporaries are
     registered for the dynamic auditor's canonicalization. *)
 
-open Tbaa
-
-type stats = { mutable hoisted : int }
-
-val run_proc :
-  ?claims:Claims.t ->
-  ?fresh:(name:string -> ty:Minim3.Types.tid -> kind:Ir.Reg.kind -> Ir.Reg.var) ->
-  Ir.Cfg.program -> Mem_index.t -> Ir.Cfg.proc -> stats
-(** One procedure, its invariance tests taken from the procedure's effect
-    index. [fresh] overrides the preheader-home allocator (defaults to
-    {!Ir.Cfg.fresh_var} on the program counter). *)
-
-val run :
-  ?modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
-(** Run over every procedure. Computes mod-ref summaries unless an
-    explicit [modref] is supplied. *)
-
 val pass : Pass.t
 (** Runs over the procedure's effect index ([Pass.pc_index]).
     [changed] and [mutated] iff any load was hoisted. Stats: [hoisted]. *)

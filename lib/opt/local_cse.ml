@@ -60,16 +60,6 @@ let run_block tenv block stats =
   in
   block.Cfg.b_instrs <- rewritten
 
-let run program =
-  let stats = { eliminated = 0 } in
-  List.iter
-    (fun proc ->
-      Vec.iter
-        (fun b -> run_block program.Cfg.tenv b stats)
-        proc.Cfg.pr_blocks)
-    program.Cfg.prog_procs;
-  stats
-
 let pass =
   { Pass.name = "local-cse";
     role = Pass.Transform;

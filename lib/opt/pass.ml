@@ -7,11 +7,6 @@ let oracle_name = function
   | Ofield_type_decl -> "FieldTypeDecl"
   | Osm_field_type_refs -> "SMFieldTypeRefs"
 
-let select (a : Analysis.t) = function
-  | Otype_decl -> a.Analysis.type_decl
-  | Ofield_type_decl -> a.Analysis.field_type_decl
-  | Osm_field_type_refs -> a.Analysis.sm_field_type_refs
-
 let engine_kind = function
   | Otype_decl -> Engine.Type_decl
   | Ofield_type_decl -> Engine.Field_type_decl
@@ -36,11 +31,11 @@ type context = {
   world : World.t;
   oracle_kind : oracle_kind;
   mutable jobs : int;  (* domains for per-procedure passes; <= 1 sequential *)
-  mutable analysis_memo : Analysis.t option;
   mutable engine_memo : Engine.t option;
       (* survives invalidation: re-analyses go through Engine.update *)
-  mutable oracle_memo : Oracle.t option;  (* cached wrapper over analysis_memo *)
-  mutable modref_memo : Modref.t option;  (* engine view over analysis_memo *)
+  mutable analysis_current : bool;  (* engine_memo describes the program *)
+  mutable oracle_memo : Oracle.t option;  (* cached wrapper over the engine *)
+  mutable modref_memo : Modref.t option;  (* engine view, or a preset one *)
   oracle_counters : Oracle_cache.counters;
       (* accumulates across wrapper incarnations *)
   mutable analyses_run : int;
@@ -49,49 +44,51 @@ type context = {
   mutable oracle_log : (Ir.Apath.t -> Ir.Apath.t -> bool -> unit) option;
       (* when set, observes every distinct may_alias query (fuzzer hook) *)
   mutable index_memo : index_slot option array;
-      (* per procedure position: the effect index over analysis_memo *)
+      (* per procedure position: the effect index over the engine *)
 }
 
 and index_slot = { ix_proc : Ir.Cfg.proc; ix_index : Mem_index.t }
 
 let create ?(world = World.Closed) ?(oracle_kind = Osm_field_type_refs)
     ?(jobs = 1) () =
-  { world; oracle_kind; jobs; analysis_memo = None; engine_memo = None;
+  { world; oracle_kind; jobs; engine_memo = None; analysis_current = false;
     oracle_memo = None; modref_memo = None;
     oracle_counters = Oracle_cache.fresh_counters (); analyses_run = 0;
     claims = None; fault = None; oracle_log = None; index_memo = [||] }
 
 let invalidate ctx =
-  ctx.analysis_memo <- None;
+  ctx.analysis_current <- false;
   ctx.oracle_memo <- None;
   ctx.modref_memo <- None;
   ctx.index_memo <- [||]
 
 let analysis ctx program =
-  match ctx.analysis_memo with
-  | Some a -> a
-  | None ->
-    (* Re-analyses after a mutating pass go through the incremental
-       engine kept in [engine_memo]: unchanged procedures reuse their
-       summaries by fingerprint, so the cost of "analyze again" tracks
-       how much of the program the pass actually rewrote. The first
-       analysis builds the engine (via [Analysis.analyze]). *)
-    let a =
-      match ctx.engine_memo with
-      | Some e -> Analysis.of_engine (Engine.update e program)
-      | None -> Analysis.analyze ~world:ctx.world program
+  match ctx.engine_memo with
+  | Some e when ctx.analysis_current -> e
+  | memo ->
+    (* Re-analyses after a mutating pass (and the first analysis over a
+       preset engine) go through [Engine.update]: unchanged procedures
+       reuse their summaries by fingerprint, so the cost of "analyze
+       again" tracks how much of the program the pass actually rewrote. *)
+    let e =
+      match memo with
+      | Some e -> Engine.update e program
+      | None ->
+        Engine.create
+          ~config:{ Engine.default_config with Engine.world = ctx.world }
+          program
     in
-    ctx.analysis_memo <- Some a;
-    ctx.engine_memo <- Some a.Analysis.engine;
+    ctx.engine_memo <- Some e;
+    ctx.analysis_current <- true;
     ctx.analyses_run <- ctx.analyses_run + 1;
-    a
+    e
 
 (* The analysis oracle of the configured precision with the fault layer
    (when installed) applied, but no memoizing cache: the per-procedure
    engine wraps this per procedure so parallel and sequential execution
    share one caching structure. *)
 let raw_oracle ctx program =
-  let raw = select (analysis ctx program) ctx.oracle_kind in
+  let raw = Engine.oracle (analysis ctx program) (engine_kind ctx.oracle_kind) in
   match ctx.fault with
   | None -> raw
   | Some f ->
@@ -119,12 +116,11 @@ let modref ctx program =
        whole-program closure. Summaries depend only on the oracle's raw
        store_class/addr_taken_var — the fault layer never wraps those —
        so this is also the right view for fault-injected runs. *)
-    let a = analysis ctx program in
-    let m = Modref.of_engine a.Analysis.engine (engine_kind ctx.oracle_kind) in
+    let m = Modref.of_engine (analysis ctx program) (engine_kind ctx.oracle_kind) in
     ctx.modref_memo <- Some m;
     m
 
-let type_refs ctx program = (analysis ctx program).Analysis.type_refs_table
+let type_refs ctx program = Engine.type_refs_table (analysis ctx program)
 
 (* ------------------------------------------------------------------ *)
 (* The pass interface                                                  *)
@@ -198,7 +194,7 @@ type report = {
   r_stats : (string * int) list;
   r_oracle : Oracle_cache.counters;  (* queries during this pass run *)
   r_dataflow : Ir.Dataflow.counters;
-  r_analyses : int;  (* Analysis.analyze runs charged to this pass *)
+  r_analyses : int;  (* engine creates/updates charged to this pass *)
   r_failure : string option;
       (* guarded execution only: why the pass was rolled back / skipped *)
 }

@@ -11,10 +11,10 @@
     way.
 
     Passes pull the alias analysis they need from a {!context}, which
-    memoizes one {!Tbaa.Analysis.t} per program state. Re-analyses after
-    a mutating pass go through the incremental {!Tbaa.Engine} kept inside
-    the context, so their cost tracks how much of the program actually
-    changed. *)
+    keeps one incremental {!Tbaa.Engine} and marks whether it describes
+    the program's current state. Re-analyses after a mutating pass are
+    {!Tbaa.Engine.update}s, so their cost tracks how much of the program
+    actually changed. *)
 
 open Tbaa
 
@@ -22,10 +22,9 @@ type oracle_kind = Otype_decl | Ofield_type_decl | Osm_field_type_refs
 
 val oracle_name : oracle_kind -> string
 
-val select : Analysis.t -> oracle_kind -> Oracle.t
-(** The *uncached* oracle of that kind from an analysis. *)
-
 val engine_kind : oracle_kind -> Engine.kind
+(** The engine's name for the kind: [Engine.oracle e (engine_kind k)] is
+    the uncached oracle of that kind. *)
 
 (** {1 Context} *)
 
@@ -47,12 +46,19 @@ type context = {
   mutable jobs : int;
       (** domains the per-procedure engine runs across; [<= 1] runs the
           same code path sequentially (results are identical either way) *)
-  mutable analysis_memo : Analysis.t option;
   mutable engine_memo : Engine.t option;
-      (** the incremental engine behind [analysis_memo]; survives
-          {!invalidate}, so re-analyses are {!Tbaa.Engine.update}s *)
+      (** the incremental analysis engine; survives {!invalidate}, so
+          re-analyses are {!Tbaa.Engine.update}s. An engine preset here
+          before the first {!analysis} is brought up to date by
+          {!Tbaa.Engine.update} on that first analysis. *)
+  mutable analysis_current : bool;
+      (** [engine_memo] describes the program's current state; cleared by
+          {!invalidate} *)
   mutable oracle_memo : Oracle.t option;
   mutable modref_memo : Modref.t option;
+      (** the mod-ref view passes use; a view preset here before a run
+          (e.g. {!Modref.conservative}) is used until the first
+          {!invalidate} *)
   oracle_counters : Oracle_cache.counters;
       (** cumulative across re-analyses; the pass manager diffs it per pass *)
   mutable analyses_run : int;
@@ -69,8 +75,8 @@ type context = {
           shared sequential path, where "once per distinct pair" is
           well-defined. *)
   mutable index_memo : index_slot option array;
-      (** per procedure position: the {!Mem_index} built over
-          [analysis_memo], shared by consecutive per-procedure passes;
+      (** per procedure position: the {!Mem_index} built over the
+          current analysis, shared by consecutive per-procedure passes;
           emptied by {!invalidate} *)
 }
 
@@ -85,9 +91,10 @@ val create :
     serves one program instance; create a fresh context per
     (program, configuration) run. *)
 
-val analysis : context -> Ir.Cfg.program -> Analysis.t
-(** The memoized analysis of the program's *current* state; recomputed
-    (incrementally, through the context's engine) after {!invalidate}. *)
+val analysis : context -> Ir.Cfg.program -> Engine.t
+(** The context's engine, brought up to date with the program's *current*
+    state: created on first use, {!Tbaa.Engine.update}d after
+    {!invalidate}. *)
 
 val oracle : context -> Ir.Cfg.program -> Oracle.t
 (** The configured-precision oracle over {!analysis}, wrapped in the
@@ -106,7 +113,7 @@ val modref : context -> Ir.Cfg.program -> Modref.t
     store_class/addr_taken_var, which the fault layer never wraps. *)
 
 val type_refs : context -> Ir.Cfg.program -> Minim3.Types.tid -> Minim3.Types.tid list
-(** The TypeRefsTable of the memoized analysis (method resolution's input). *)
+(** The TypeRefsTable of the current analysis (method resolution's input). *)
 
 val invalidate : context -> unit
 (** Drop the memoized analysis, its cached oracle and the effect indexes

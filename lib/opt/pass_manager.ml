@@ -136,9 +136,8 @@ let snapshot_blocks proc =
      one revision share its answers; it is built and filled only by the
      worker that owns the procedure, so its contents — and the oracle
      counts charged to each pass — do not depend on the domain count;
-   - the [Apath]/[Aloc] intern tables flip into mutex-guarded mode for
-     the duration of a multi-domain region, and dataflow's cumulative
-     counters are atomics.
+   - the [Apath]/[Aloc] intern tables are always mutex-guarded, and
+     dataflow's cumulative counters are atomics.
 
    A fault-injected or query-logged context instead runs on the shared
    sequential path (one cached oracle, the caller's ledger, the plain
@@ -303,16 +302,7 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
         if outcomes.(i).Pass.mutated || not (Mem_index.release index raw)
         then slots.(i) <- None
       in
-      if domains > 1 then begin
-        Ir.Apath.set_concurrent true;
-        Aloc.set_concurrent true;
-        Fun.protect
-          ~finally:(fun () ->
-            Ir.Apath.set_concurrent false;
-            Aloc.set_concurrent false)
-          (fun () -> Domain_pool.run ~domains nlive run_live)
-      end
-      else Domain_pool.run ~domains:1 nlive run_live
+      Domain_pool.run ~domains nlive run_live
     end;
     (* Reserve the allocator lanes actually used: the highest id handed
        out is [start + (n-1) + (kmax-1)*n]. *)
@@ -661,7 +651,7 @@ let rerun s program items =
        describes the current program state, and the slot engine will
        simply absorb a slightly larger diff whenever it is next used. *)
     (match Hashtbl.find_opt s.s_engines k with
-    | Some e when Option.is_none ctx.Pass.analysis_memo ->
+    | Some e when not ctx.Pass.analysis_current ->
       ctx.Pass.engine_memo <- Some e
     | _ -> ());
     let r = run_one ?memo ctx program ~round p in

@@ -1,5 +1,3 @@
-open Tbaa
-
 type oracle_kind = Pass.oracle_kind =
   | Otype_decl
   | Ofield_type_decl
@@ -7,31 +5,12 @@ type oracle_kind = Pass.oracle_kind =
 
 type config = {
   oracle_kind : oracle_kind;
-  world : World.t;
+  world : Tbaa.World.t;
   passes : Pass_manager.Config.t;
   jobs : int;
 }
 
-type result = {
-  analysis : Analysis.t;
-  rle_stats : Rle.stats option;
-  devirt_stats : Devirt.stats option;
-  inline_stats : Inline.stats option;
-  pre_stats : Pre.stats option;
-  copyprop_stats : Copyprop.stats option;
-  licm_stats : Licm.stats option;
-  slf_stats : Slf.stats option;
-  dse_stats : Dse.stats option;
-  reports : Pass.report list;
-}
-
 let oracle_name = Pass.oracle_name
-let select = Pass.select
-
-let default =
-  { oracle_kind = Osm_field_type_refs; world = World.Closed;
-    passes = { Pass_manager.Config.none with Pass_manager.Config.rle = true };
-    jobs = 1 }
 
 let schedule_of_config ?(local_cse = false) config =
   Pass_manager.schedule
@@ -42,77 +21,3 @@ let schedule_of_config ?(local_cse = false) config =
 let context_of_config config =
   Pass.create ~world:config.world ~oracle_kind:config.oracle_kind
     ~jobs:config.jobs ()
-
-let stats_of_reports reports =
-  let open Pass_manager in
-  let devirt_stats =
-    if ran "devirt" reports then
-      Some
-        { Devirt.resolved = sum_stat "devirt" "resolved" reports;
-          (* later rounds re-count call sites the first round already saw
-             (possibly duplicated by inlining), so "still unresolved" is
-             the first round's view — matching the original pipeline *)
-          unresolved = first_stat "devirt" "unresolved" reports }
-    else None
-  in
-  let inline_stats =
-    if ran "inline" reports then
-      Some { Inline.inlined = sum_stat "inline" "inlined" reports }
-    else None
-  in
-  let pre_stats =
-    if ran "pre" reports then
-      Some
-        { Pre.inserted = sum_stat "pre" "inserted" reports;
-          edges_split = sum_stat "pre" "edges_split" reports }
-    else None
-  in
-  let rle_stats =
-    if ran "rle" reports then
-      Some
-        { Rle.hoisted = sum_stat "rle" "hoisted" reports;
-          eliminated = sum_stat "rle" "eliminated" reports;
-          shortened = sum_stat "rle" "shortened" reports }
-    else None
-  in
-  let copyprop_stats =
-    if ran "copyprop" reports then
-      Some { Copyprop.replaced = sum_stat "copyprop" "replaced" reports }
-    else None
-  in
-  (devirt_stats, inline_stats, pre_stats, rle_stats, copyprop_stats)
-
-let assemble ctx program reports =
-  let devirt_stats, inline_stats, pre_stats, rle_stats, copyprop_stats =
-    stats_of_reports reports
-  in
-  let open Pass_manager in
-  let licm_stats =
-    if ran "licm" reports then
-      Some { Licm.hoisted = sum_stat "licm" "hoisted" reports }
-    else None
-  in
-  let slf_stats =
-    if ran "slf" reports then
-      Some { Slf.forwarded = sum_stat "slf" "forwarded" reports }
-    else None
-  in
-  let dse_stats =
-    if ran "dse" reports then
-      Some { Dse.removed = sum_stat "dse" "removed" reports }
-    else None
-  in
-  let analysis = Pass.analysis ctx program in
-  { analysis; rle_stats; devirt_stats; inline_stats; pre_stats;
-    copyprop_stats; licm_stats; slf_stats; dse_stats; reports }
-
-let run program config =
-  let ctx = context_of_config config in
-  assemble ctx program (Pass_manager.run ctx program (schedule_of_config config))
-
-let run_guarded ?(verify = false) ?claims ?fault program config =
-  let ctx = context_of_config config in
-  ctx.Pass.claims <- claims;
-  ctx.Pass.fault <- fault;
-  assemble ctx program
-    (Pass_manager.run_guarded ~verify ctx program (schedule_of_config config))

@@ -1,14 +1,9 @@
-(** The whole-program-optimizer configuration, as a thin facade over
-    {!Pass_manager}.
-
-    The configuration record survives from the original hand-rolled
-    pipeline; [run] now builds a {!Pass_manager.schedule} from it, executes
-    the passes through a shared {!Pass.context}, and reconstitutes the
-    legacy per-pass stats records from the immutable reports. New clients
-    should consume [result.reports] (or drive {!Pass_manager} directly);
-    the stats fields exist for the harness's established tables. *)
-
-open Tbaa
+(** The optimizer configuration every front end shares: which oracle,
+    which world, which passes and how many domains. A configuration
+    denotes a {!Pass_manager} schedule ({!schedule_of_config}) and a fresh
+    {!Pass.context} ({!context_of_config}); running it is
+    {!Pass_manager.run} (or [run_guarded], or a [session]) over the two,
+    and its results are the {!Pass.report}s that returns. *)
 
 type oracle_kind = Pass.oracle_kind =
   | Otype_decl
@@ -17,7 +12,7 @@ type oracle_kind = Pass.oracle_kind =
 
 type config = {
   oracle_kind : oracle_kind;
-  world : World.t;
+  world : Tbaa.World.t;
   passes : Pass_manager.Config.t;
       (* which passes run — the same record every front end hands to
          {!Pass_manager.schedule} *)
@@ -26,57 +21,11 @@ type config = {
          byte-identical at any value *)
 }
 
-type result = {
-  analysis : Analysis.t;  (* analysis of the final program *)
-  rle_stats : Rle.stats option;
-  devirt_stats : Devirt.stats option;
-  inline_stats : Inline.stats option;
-  pre_stats : Pre.stats option;
-  copyprop_stats : Copyprop.stats option;
-  licm_stats : Licm.stats option;
-  slf_stats : Slf.stats option;
-  dse_stats : Dse.stats option;
-  reports : Pass.report list;  (* per-pass instrumented reports, in order *)
-}
-
 val oracle_name : oracle_kind -> string
-
-val select : Analysis.t -> oracle_kind -> Oracle.t
 
 val schedule_of_config : ?local_cse:bool -> config -> Pass_manager.item list
 (** The pass schedule a configuration denotes; [local_cse] appends the
-    baseline cleanup pass (the harness wants it, [run] does not add it). *)
+    baseline cleanup pass (the harness wants it, [tbaac optimize] does
+    not add it). *)
 
 val context_of_config : config -> Pass.context
-
-val stats_of_reports :
-  Pass.report list ->
-  Devirt.stats option
-  * Inline.stats option
-  * Pre.stats option
-  * Rle.stats option
-  * Copyprop.stats option
-(** Fold a report list back into the legacy stats records. Each report
-    contributes exactly once (summed across fixpoint rounds; devirt's
-    [unresolved] is the first round's count, since later rounds re-count
-    sites duplicated by inlining). *)
-
-val run : Ir.Cfg.program -> config -> result
-(** Mutates [program] in place. *)
-
-val run_guarded :
-  ?verify:bool ->
-  ?claims:Claims.t ->
-  ?fault:Pass.fault ->
-  Ir.Cfg.program ->
-  config ->
-  result
-(** {!run} through {!Pass_manager.run_guarded}: crashing or (with
-    [verify]) invalid-IR-producing passes are rolled back and
-    quarantined, with failures surfaced via [r_failure] in the reports.
-    [claims] installs a ledger RLE logs its alias bets into (the dynamic
-    auditor's input); [fault] installs a fault-injected oracle. *)
-
-val default : config
-(** SMFieldTypeRefs + RLE, closed world, no inlining, sequential — the
-    paper's primary configuration. *)

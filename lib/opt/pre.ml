@@ -23,12 +23,7 @@ let split_edge proc (p : Cfg.block) b_id =
   | _ -> ());
   fresh
 
-let run_proc ?fresh program index proc stats =
-  let fresh =
-    match fresh with
-    | Some f -> f
-    | None -> fun ~name ~ty ~kind -> Cfg.fresh_var program ~name ~ty ~kind
-  in
+let run_proc ~fresh program index proc stats =
   let tenv = program.Cfg.tenv in
   (* Universe of scalar load-expression prefixes, as in Rle.cse. *)
   let ids = Apath.Tbl.create 64 in
@@ -175,17 +170,6 @@ let run_proc ?fresh program index proc stats =
           (List.sort_uniq compare es))
       (List.sort compare (Hashtbl.fold (fun k es acc -> (k, es) :: acc) by_edge []))
   end
-
-let run ?modref program oracle =
-  let modref =
-    match modref with Some m -> m | None -> Modref.compute program oracle
-  in
-  let stats = { inserted = 0; edges_split = 0 } in
-  List.iter
-    (fun proc ->
-      run_proc program (Mem_index.create oracle modref) proc stats)
-    program.Cfg.prog_procs;
-  stats
 
 let pass =
   { Pass.name = "pre";

@@ -11,16 +11,6 @@
     correctness; it would only guard profitability, which the ABL-PRE
     experiment measures instead. *)
 
-open Tbaa
-
-type stats = {
-  mutable inserted : int;  (* loads materialized on edges *)
-  mutable edges_split : int;
-}
-
-val run : ?modref:Modref.t -> Ir.Cfg.program -> Oracle.t -> stats
-(** Insertion only; run {!Rle.run} afterwards to harvest. *)
-
 val pass : Pass.t
 (** Insertion only — schedule an {!Rle.pass} after it to harvest. Stats:
     [inserted], [edges_split]. *)

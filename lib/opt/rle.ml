@@ -31,13 +31,7 @@ let loop_instrs proc (loop : Loops.loop) =
     (fun bid acc -> List.rev_append (Cfg.block proc bid).Cfg.b_instrs acc)
     loop.Loops.body []
 
-let default_fresh program ~name ~ty ~kind =
-  Cfg.fresh_var program ~name ~ty ~kind
-
-let hoist_loops ?claims ?fresh program index proc stats =
-  let fresh =
-    match fresh with Some f -> f | None -> default_fresh program
-  in
+let hoist_loops ?claims ~fresh program index proc stats =
   let tenv = program.Cfg.tenv in
   let dom = Dom.compute proc in
   let loops = Loops.find proc dom in
@@ -147,10 +141,7 @@ let hoist_loops ?claims ?fresh program index proc stats =
    the longest available prefix. A store generates its proper prefixes (it
    reads them to navigate) and its own path (store-to-load forwarding). *)
 
-let cse ?claims ?fresh program index proc stats =
-  let fresh =
-    match fresh with Some f -> f | None -> default_fresh program
-  in
+let cse ?claims ~fresh program index proc stats =
   let tenv = program.Cfg.tenv in
   let ids = Apath.Tbl.create 64 in
   let exprs = Vec.create () in
@@ -311,36 +302,17 @@ let cse ?claims ?fresh program index proc stats =
       proc.Cfg.pr_blocks
   end
 
-let run_proc ?claims ?fresh program index proc =
+let run_proc ?claims ~fresh program index proc =
   let stats = { hoisted = 0; eliminated = 0; shortened = 0 } in
   (* Iterate hoisting so loads escape nested loops level by level; each
      round recomputes dominators over the preheaders of the previous one. *)
   let rec rounds budget prev =
-    hoist_loops ?claims ?fresh program index proc stats;
+    hoist_loops ?claims ~fresh program index proc stats;
     if stats.hoisted > prev && budget > 0 then rounds (budget - 1) stats.hoisted
   in
   rounds 4 0;
-  cse ?claims ?fresh program index proc stats;
+  cse ?claims ~fresh program index proc stats;
   stats
-
-let run ?modref ?claims program oracle =
-  let modref =
-    match modref with
-    | Some m -> m
-    | None -> Modref.compute program oracle
-  in
-  let total = { hoisted = 0; eliminated = 0; shortened = 0 } in
-  List.iter
-    (fun proc ->
-      let index =
-        Mem_index.create ~witnesses:(Option.is_some claims) oracle modref
-      in
-      let s = run_proc ?claims program index proc in
-      total.hoisted <- total.hoisted + s.hoisted;
-      total.eliminated <- total.eliminated + s.eliminated;
-      total.shortened <- total.shortened + s.shortened)
-    program.Cfg.prog_procs;
-  total
 
 let pass =
   { Pass.name = "rle";

@@ -176,22 +176,6 @@ let run_proc ?claims index proc stats =
       proc.Cfg.pr_blocks
   end
 
-let run ?modref ?claims program oracle =
-  let modref =
-    match modref with
-    | Some m -> m
-    | None -> Modref.compute program oracle
-  in
-  let stats = { forwarded = 0 } in
-  List.iter
-    (fun proc ->
-      let index =
-        Mem_index.create ~witnesses:(Option.is_some claims) oracle modref
-      in
-      run_proc ?claims index proc stats)
-    program.Cfg.prog_procs;
-  stats
-
 let pass =
   { Pass.name = "slf";
     role = Pass.Transform;

@@ -11,19 +11,6 @@
     With [claims], every alias/no-mod answer relied on is logged under
     kind ["slf"] for the dynamic soundness auditor. *)
 
-open Tbaa
-
-type stats = { mutable forwarded : int }
-
-val run_proc :
-  ?claims:Claims.t -> Mem_index.t -> Ir.Cfg.proc -> stats -> unit
-(** One procedure, its kill sets taken from the procedure's effect index. *)
-
-val run :
-  ?modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
-(** Run over every procedure. Computes mod-ref summaries unless an
-    explicit [modref] is supplied. *)
-
 val pass : Pass.t
 (** Runs over the procedure's effect index ([Pass.pc_index]).
     [changed] and [mutated] iff any load was forwarded. Stats:

@@ -131,7 +131,13 @@ let client_config ~licm ~slf ~dse =
 let audit_trap ?fault config src =
   let program = Ir.Lower.lower_string ~file:"<trap>" src in
   let claims = Tbaa.Claims.create ~oracle:"SMFieldTypeRefs" in
-  let _ = Opt.Pipeline.run_guarded ~verify:true ~claims ?fault program config in
+  let ctx = Opt.Pipeline.context_of_config config in
+  ctx.Opt.Pass.claims <- Some claims;
+  ctx.Opt.Pass.fault <- fault;
+  let _ =
+    Opt.Pass_manager.run_guarded ~verify:true ctx program
+      (Opt.Pipeline.schedule_of_config config)
+  in
   let auditor = Sim.Audit.create claims in
   let _ = Sim.Interp.run ~on_access:(Sim.Audit.on_access auditor) program in
   Sim.Audit.check auditor

@@ -9,20 +9,35 @@ let lower src = Lower.lower_string ~file:"test" src
 let proc_named program name = Cfg.find_proc program (Ident.intern name)
 
 let analyze ?(world = Tbaa.World.Closed) program =
-  Tbaa.Analysis.analyze ~world program
+  Tbaa.Engine.create
+    ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world } program
 
 let run_out program = (Sim.Interp.run program).Sim.Interp.output
 
-let rle_with src oracle_of =
+let sm = Opt.Pipeline.Osm_field_type_refs
+let td = Opt.Pipeline.Otype_decl
+
+(* Passes run the way every front end runs them: a schedule through the
+   pass manager over a fresh context; one report per pass execution. *)
+let run_passes ?claims program kind passes =
+  let ctx = Opt.Pass.create ~oracle_kind:kind () in
+  ctx.Opt.Pass.claims <- claims;
+  Opt.Pass_manager.run ctx program
+    (List.map (fun p -> Opt.Pass_manager.Run p) passes)
+
+let run_pass ?claims program kind pass =
+  match run_passes ?claims program kind [ pass ] with
+  | [ r ] -> r
+  | _ -> assert false
+
+let stat = Opt.Pass.stat
+
+let rle_with src kind =
   let program = lower src in
   let before = run_out program in
-  let analysis = analyze program in
-  let stats = Opt.Rle.run program (oracle_of analysis) in
+  let report = run_pass program kind Opt.Rle.pass in
   let after = run_out program in
-  (program, stats, before, after)
-
-let sm (a : Tbaa.Analysis.t) = a.Tbaa.Analysis.sm_field_type_refs
-let td (a : Tbaa.Analysis.t) = a.Tbaa.Analysis.type_decl
+  (program, report, before, after)
 
 (* --- mod-ref ----------------------------------------------------------- *)
 
@@ -41,7 +56,7 @@ BEGIN END M.
 |}
   in
   let analysis = analyze program in
-  let oracle = sm analysis in
+  let oracle = Tbaa.Engine.oracle analysis Tbaa.Engine.Sm_field_type_refs in
   let modref = Opt.Modref.compute program oracle in
   let mods name =
     (Opt.Modref.summary modref (Ident.intern name)).Opt.Modref.mods
@@ -77,9 +92,7 @@ BEGIN END M.
   in
   let eliminated writer =
     let program = lower (src writer) in
-    let analysis = analyze program in
-    let stats = Opt.Rle.run program (sm analysis) in
-    stats.Opt.Rle.eliminated
+    stat (run_pass program sm Opt.Rle.pass) "eliminated"
   in
   Alcotest.(check bool) "pure call: second load eliminated" true
     (eliminated "sink := 0;" >= 1);
@@ -115,7 +128,7 @@ END M.
 let test_rle_hoists_invariant_prefix () =
   let program, stats, before, after = rle_with figure6_src sm in
   Alcotest.(check bool) "hoisted at least one prefix" true
-    (stats.Opt.Rle.hoisted >= 1);
+    ((stat stats "hoisted") >= 1);
   Alcotest.(check string) "behaviour preserved" before after;
   (* The load of a.b must now be outside the loop: run and compare heap
      loads with the unoptimized program. *)
@@ -150,7 +163,7 @@ END M.
 
 let test_rle_cse_prefix () =
   let _, stats, before, after = rle_with figure7_src sm in
-  Alcotest.(check bool) "prefix reused" true (stats.Opt.Rle.shortened >= 1);
+  Alcotest.(check bool) "prefix reused" true ((stat stats "shortened") >= 1);
   Alcotest.(check string) "behaviour preserved" before after
 
 let test_rle_cse_full () =
@@ -176,7 +189,7 @@ END M.
   in
   let _, stats, before, after = rle_with src sm in
   Alcotest.(check bool) "eliminated the second load" true
-    (stats.Opt.Rle.eliminated >= 1);
+    ((stat stats "eliminated") >= 1);
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 42" "42" after
 
@@ -199,7 +212,7 @@ END M.
 |}
   in
   let _, stats, _, after = rle_with src sm in
-  Alcotest.(check bool) "load forwarded" true (stats.Opt.Rle.eliminated >= 1);
+  Alcotest.(check bool) "load forwarded" true ((stat stats "eliminated") >= 1);
   Alcotest.(check string) "output is 7" "7" after
 
 let test_rle_killed_by_may_alias_store () =
@@ -228,7 +241,7 @@ END M.
   in
   let _, stats, before, after = rle_with src sm in
   Alcotest.(check int) "no elimination across the aliasing store" 0
-    stats.Opt.Rle.eliminated;
+    (stat stats "eliminated");
   Alcotest.(check string) "behaviour preserved" before after;
   (* a reads 3, the aliasing store makes b read 5: an unsound CSE would
      print 6 instead. *)
@@ -259,15 +272,15 @@ END M.
   in
   let _, stats, before, after = rle_with src sm in
   Alcotest.(check bool) "eliminated across independent store" true
-    (stats.Opt.Rle.eliminated >= 1);
+    ((stat stats "eliminated") >= 1);
   Alcotest.(check string) "behaviour preserved" before after
 
 let test_rle_precision_ordering_on_counts () =
   (* A more precise oracle can only remove at least as many loads. *)
-  let removed oracle_of =
+  let removed kind =
     let program = lower figure6_src in
-    let analysis = analyze program in
-    Opt.Rle.removed (Opt.Rle.run program (oracle_of analysis))
+    let r = run_pass program kind Opt.Rle.pass in
+    stat r "hoisted" + stat r "eliminated" + stat r "shortened"
   in
   Alcotest.(check bool) "SMFieldTypeRefs >= TypeDecl" true
     (removed sm >= removed td)
@@ -299,7 +312,7 @@ END M.
 |}
   in
   let _, stats, before, after = rle_with src sm in
-  Alcotest.(check int) "no full redundancy" 0 stats.Opt.Rle.eliminated;
+  Alcotest.(check int) "no full redundancy" 0 (stat stats "eliminated");
   Alcotest.(check string) "behaviour preserved" before after
 
 (* --- devirtualization / inlining --------------------------------------- *)
@@ -327,7 +340,7 @@ let test_devirt_resolves_monomorphic () =
   let before = run_out program in
   let analysis = analyze program in
   let stats =
-    Opt.Devirt.run program ~type_refs:analysis.Tbaa.Analysis.type_refs_table
+    Opt.Devirt.run program ~type_refs:(Tbaa.Engine.type_refs_table analysis)
   in
   Alcotest.(check int) "resolved" 1 stats.Opt.Devirt.resolved;
   Alcotest.(check string) "behaviour preserved" before (run_out program)
@@ -353,7 +366,7 @@ END M.
   let before = run_out program in
   let analysis = analyze program in
   let stats =
-    Opt.Devirt.run program ~type_refs:analysis.Tbaa.Analysis.type_refs_table
+    Opt.Devirt.run program ~type_refs:(Tbaa.Engine.type_refs_table analysis)
   in
   Alcotest.(check int) "not resolved" 0 stats.Opt.Devirt.resolved;
   Alcotest.(check string) "dispatches to ImplB" "-11" before;
@@ -458,14 +471,15 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  let a = analyze program in
-  let oracle = sm a in
-  let pstats = Opt.Pre.run program oracle in
-  let rstats = Opt.Rle.run program oracle in
+  let pstats, rstats =
+    match run_passes program sm [ Opt.Pre.pass; Opt.Rle.pass ] with
+    | [ p; r ] -> (p, r)
+    | _ -> assert false
+  in
   Alcotest.(check bool) "PRE inserted on the else edge" true
-    (pstats.Opt.Pre.inserted >= 1);
+    ((stat pstats "inserted") >= 1);
   Alcotest.(check bool) "the conditional load is now eliminated" true
-    (rstats.Opt.Rle.eliminated >= 1);
+    ((stat rstats "eliminated") >= 1);
   Alcotest.(check string) "behaviour preserved" before (run_out program)
 
 let test_pre_skips_unprofitable () =
@@ -494,10 +508,9 @@ END M.
 |}
   in
   let program = lower src in
-  let a = analyze program in
-  let pstats = Opt.Pre.run program (sm a) in
+  let pstats = run_pass program sm Opt.Pre.pass in
   Alcotest.(check int) "no insertion without a carrying sibling" 0
-    pstats.Opt.Pre.inserted
+    (stat pstats "inserted")
 
 let test_copyprop_enables_breakup_recovery () =
   (* The Breakup pattern: the same address reached via p and via h.next.
@@ -527,15 +540,16 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  let a = analyze program in
-  let oracle = sm a in
-  let first = Opt.Rle.run program oracle in
-  let cp = Opt.Copyprop.run program in
-  let second = Opt.Rle.run program oracle in
-  Alcotest.(check bool) "copies were propagated" true (cp.Opt.Copyprop.replaced >= 1);
+  let cp, second =
+    match
+      run_passes program sm [ Opt.Rle.pass; Opt.Copyprop.pass; Opt.Rle.pass ]
+    with
+    | [ _; cp; second ] -> (cp, second)
+    | _ -> assert false
+  in
+  Alcotest.(check bool) "copies were propagated" true ((stat cp "replaced") >= 1);
   Alcotest.(check bool) "second RLE pass finds the breakup redundancy" true
-    (second.Opt.Rle.eliminated + second.Opt.Rle.shortened >= 1);
-  ignore first;
+    ((stat second "eliminated") + (stat second "shortened") >= 1);
   Alcotest.(check string) "behaviour preserved" before (run_out program)
 
 let test_copyprop_respects_redefinition () =
@@ -558,7 +572,7 @@ END M.
 |}
   in
   let program = lower src in
-  ignore (Opt.Copyprop.run program);
+  ignore (run_pass program sm Opt.Copyprop.pass);
   Alcotest.(check string) "3" "3" (run_out program)
 
 (* --- dead-code elimination ------------------------------------------------ *)
@@ -586,9 +600,9 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  let stats = Opt.Dce.run program in
+  let stats = run_pass program sm Opt.Dce.pass in
   (* a's load, b's and c's ALU ops, plus the lowering temporaries. *)
-  Alcotest.(check bool) "removed the dead chain" true (stats.Opt.Dce.removed >= 3);
+  Alcotest.(check bool) "removed the dead chain" true ((stat stats "removed") >= 3);
   Alcotest.(check string) "behaviour preserved" before (run_out program);
   let p = proc_named program "P" in
   let loads = ref 0 in
@@ -622,7 +636,7 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  ignore (Opt.Dce.run program);
+  ignore (run_pass program sm Opt.Dce.pass);
   Alcotest.(check string) "effects survive" before (run_out program);
   Alcotest.(check string) "output is 6" "6" before
 
@@ -630,24 +644,23 @@ let test_dce_fixpoint_on_workload () =
   (* Running DCE twice must find nothing the second time. *)
   let w = Workloads.Suite.find "format" in
   let program = Workloads.Workload.lower w in
-  ignore (Opt.Dce.run program);
-  let second = Opt.Dce.run program in
-  Alcotest.(check int) "idempotent" 0 second.Opt.Dce.removed
+  ignore (run_pass program sm Opt.Dce.pass);
+  let second = run_pass program sm Opt.Dce.pass in
+  Alcotest.(check int) "idempotent" 0 (stat second "removed")
 
 (* --- new TBAA clients: DSE, SLF, LICM ---------------------------------- *)
 
-let client_with run src oracle_of =
+let client_with pass src kind =
   let program = lower src in
   let before = run_out program in
-  let analysis = analyze program in
-  let stats = run program (oracle_of analysis) in
+  let stats = run_pass program kind pass in
   let after = run_out program in
   (stats, before, after)
 
 let test_dse_removes_overwritten_store () =
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Dse.run p o)
+      Opt.Dse.pass
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -666,7 +679,7 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "dead store removed" 1 stats.Opt.Dse.removed;
+  Alcotest.(check int) "dead store removed" 1 (stat stats "removed");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 5" "5" before
 
@@ -693,11 +706,11 @@ END M.
 |}
   in
   List.iter
-    (fun oracle_of ->
+    (fun kind ->
       let stats, before, after =
-        client_with (fun p o -> Opt.Dse.run p o) src oracle_of
+        client_with Opt.Dse.pass src kind
       in
-      Alcotest.(check int) "store kept" 0 stats.Opt.Dse.removed;
+      Alcotest.(check int) "store kept" 0 (stat stats "removed");
       Alcotest.(check string) "behaviour preserved" before after;
       Alcotest.(check string) "output is 21" "21" before)
     [ sm; td ]
@@ -708,7 +721,7 @@ let test_dse_kept_by_reading_call () =
      so the interprocedural ref summary must cover navigation reads. *)
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Dse.run p o)
+      Opt.Dse.pass
       {|
 MODULE M;
 TYPE Arr = REF ARRAY OF INTEGER;
@@ -729,7 +742,7 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "store read by call kept" 0 stats.Opt.Dse.removed;
+  Alcotest.(check int) "store read by call kept" 0 (stat stats "removed");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 8" "8" before
 
@@ -762,11 +775,11 @@ END M.
 |}
   in
   List.iter
-    (fun oracle_of ->
+    (fun kind ->
       let stats, before, after =
-        client_with (fun p o -> Opt.Dse.run p o) src oracle_of
+        client_with Opt.Dse.pass src kind
       in
-      Alcotest.(check int) "store kept" 0 stats.Opt.Dse.removed;
+      Alcotest.(check int) "store kept" 0 (stat stats "removed");
       Alcotest.(check string) "behaviour preserved" before after;
       Alcotest.(check string) "output is 12" "12" before)
     [ sm; td ]
@@ -797,11 +810,11 @@ END M.
 |}
   in
   List.iter
-    (fun oracle_of ->
+    (fun kind ->
       let stats, before, after =
-        client_with (fun p o -> Opt.Dse.run p o) src oracle_of
+        client_with Opt.Dse.pass src kind
       in
-      Alcotest.(check int) "store kept" 0 stats.Opt.Dse.removed;
+      Alcotest.(check int) "store kept" 0 (stat stats "removed");
       Alcotest.(check string) "behaviour preserved" before after;
       Alcotest.(check string) "output is 12" "12" before)
     [ sm; td ]
@@ -809,7 +822,7 @@ END M.
 let test_slf_forwards_stored_atom () =
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Slf.run p o)
+      Opt.Slf.pass
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -829,7 +842,7 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "load forwarded" 1 stats.Opt.Slf.forwarded;
+  Alcotest.(check int) "load forwarded" 1 (stat stats "forwarded");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 3" "3" before
 
@@ -859,11 +872,11 @@ END M.
 |}
   in
   List.iter
-    (fun oracle_of ->
+    (fun kind ->
       let stats, before, after =
-        client_with (fun p o -> Opt.Slf.run p o) src oracle_of
+        client_with Opt.Slf.pass src kind
       in
-      Alcotest.(check int) "forwarding blocked" 0 stats.Opt.Slf.forwarded;
+      Alcotest.(check int) "forwarding blocked" 0 (stat stats "forwarded");
       Alcotest.(check string) "behaviour preserved" before after;
       Alcotest.(check string) "output is 2" "2" before)
     [ sm; td ]
@@ -874,7 +887,7 @@ let test_slf_blocked_by_byref_atom_write () =
      resurrect the stale value. *)
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Slf.run p o)
+      Opt.Slf.pass
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -897,14 +910,14 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "stale atom not forwarded" 0 stats.Opt.Slf.forwarded;
+  Alcotest.(check int) "stale atom not forwarded" 0 (stat stats "forwarded");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 4" "4" before
 
 let test_licm_hoists_invariant_load () =
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Licm.run p o)
+      Opt.Licm.pass
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -927,7 +940,7 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "load hoisted" 1 stats.Opt.Licm.hoisted;
+  Alcotest.(check int) "load hoisted" 1 (stat stats "hoisted");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 6" "6" before
 
@@ -936,7 +949,7 @@ let test_licm_blocked_by_modding_call () =
      cell's class, so the load is not invariant. *)
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Licm.run p o)
+      Opt.Licm.pass
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -961,7 +974,7 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "hoist blocked" 0 stats.Opt.Licm.hoisted;
+  Alcotest.(check int) "hoist blocked" 0 (stat stats "hoisted");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 6" "6" before
 
@@ -993,11 +1006,10 @@ BEGIN
 END M.
 |}
   in
-  let kinds_used run kind =
+  let kinds_used pass kind =
     let program = lower src in
-    let analysis = analyze program in
     let claims = Tbaa.Claims.create ~oracle:"SMFieldTypeRefs" in
-    ignore (run ~claims program (sm analysis));
+    ignore (run_pass ~claims program sm pass);
     let pairs = Tbaa.Claims.disjoint_pairs claims in
     Alcotest.(check bool)
       (kind ^ " made at least one no-alias bet")
@@ -1010,35 +1022,40 @@ END M.
       pairs
   in
   Alcotest.(check bool) "dse bets carry kind dse" true
-    (kinds_used (fun ~claims p o -> Opt.Dse.run ~claims p o) "dse");
+    (kinds_used Opt.Dse.pass "dse");
   Alcotest.(check bool) "slf bets carry kind slf" true
-    (kinds_used (fun ~claims p o -> Opt.Slf.run ~claims p o) "slf");
+    (kinds_used Opt.Slf.pass "slf");
   Alcotest.(check bool) "licm bets carry kind licm" true
-    (kinds_used (fun ~claims p o -> Opt.Licm.run ~claims p o) "licm")
+    (kinds_used Opt.Licm.pass "licm")
 
 (* --- pipeline ----------------------------------------------------------- *)
 
 let test_pipeline_full () =
   let program = lower devirt_src in
   let before = run_out program in
-  let result =
-    Opt.Pipeline.run program
-      { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-        world = Tbaa.World.Closed;
-        passes =
-          { Opt.Pass_manager.Config.none with
-            Opt.Pass_manager.Config.devirt_inline = true; rle = true };
-        jobs = 1 }
+  let config =
+    { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
+      world = Tbaa.World.Closed;
+      passes =
+        { Opt.Pass_manager.Config.none with
+          Opt.Pass_manager.Config.devirt_inline = true; rle = true };
+      jobs = 1 }
   in
-  Alcotest.(check bool) "devirt ran" true (result.Opt.Pipeline.devirt_stats <> None);
+  let reports =
+    Opt.Pass_manager.run
+      (Opt.Pipeline.context_of_config config)
+      program
+      (Opt.Pipeline.schedule_of_config config)
+  in
+  Alcotest.(check bool) "devirt ran" true (Opt.Pass_manager.ran "devirt" reports);
   Alcotest.(check string) "behaviour preserved" before (run_out program)
 
 (* --- pass manager ------------------------------------------------------ *)
 
-let rle_triple = function
-  | Some (s : Opt.Rle.stats) ->
-    (s.Opt.Rle.hoisted, s.Opt.Rle.eliminated, s.Opt.Rle.shortened)
-  | None -> Alcotest.fail "expected RLE stats"
+(* RLE's (hoisted, eliminated, shortened), summed over every execution. *)
+let rle_triple reports =
+  let sum = Opt.Pass_manager.sum_stat "rle" in
+  (sum "hoisted" reports, sum "eliminated" reports, sum "shortened" reports)
 
 let triple = Alcotest.(triple int int int)
 
@@ -1048,34 +1065,30 @@ let test_passmgr_seed_counts () =
   let w name = Workloads.Suite.find name in
   let sm_cfg = Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs in
   let _, reports = Harness.Runner.prepare (w "m3cg") sm_cfg in
-  let _, _, _, r, _ = Opt.Pipeline.stats_of_reports reports in
-  Alcotest.check triple "m3cg rle:SM" (4, 15, 17) (rle_triple r);
+  Alcotest.check triple "m3cg rle:SM" (4, 15, 17) (rle_triple reports);
   let _, reports =
     Harness.Runner.prepare (w "pp") { sm_cfg with Harness.Runner.copyprop = true }
   in
-  let _, _, _, r, _ = Opt.Pipeline.stats_of_reports reports in
-  Alcotest.check triple "pp rle:SM+cp" (3, 9, 0) (rle_triple r);
+  Alcotest.check triple "pp rle:SM+cp" (3, 9, 0) (rle_triple reports);
   let _, reports =
     Harness.Runner.prepare (w "format")
       { Harness.Runner.base with Harness.Runner.minv = true }
   in
-  let d, i, _, _, _ = Opt.Pipeline.stats_of_reports reports in
-  (match (d, i) with
-  | Some d, Some i ->
-    Alcotest.(check int) "format minv resolved" 0 d.Opt.Devirt.resolved;
-    Alcotest.(check int) "format minv unresolved" 0 d.Opt.Devirt.unresolved;
-    Alcotest.(check int) "format minv inlined" 9 i.Opt.Inline.inlined
-  | _ -> Alcotest.fail "expected devirt and inline stats");
+  Alcotest.(check bool) "format minv ran devirt and inline" true
+    (Opt.Pass_manager.ran "devirt" reports
+    && Opt.Pass_manager.ran "inline" reports);
+  Alcotest.(check int) "format minv resolved" 0
+    (Opt.Pass_manager.sum_stat "devirt" "resolved" reports);
+  Alcotest.(check int) "format minv unresolved" 0
+    (Opt.Pass_manager.first_stat "devirt" "unresolved" reports);
+  Alcotest.(check int) "format minv inlined" 9
+    (Opt.Pass_manager.sum_stat "inline" "inlined" reports);
   let _, reports =
     Harness.Runner.prepare (w "dformat") { sm_cfg with Harness.Runner.minv = true }
   in
-  let d, _, _, r, _ = Opt.Pipeline.stats_of_reports reports in
-  Alcotest.check triple "dformat rle:SM+minv" (10, 20, 2) (rle_triple r);
-  match d with
-  | Some d ->
-    Alcotest.(check int) "dformat minv unresolved (first leg)" 6
-      d.Opt.Devirt.unresolved
-  | None -> Alcotest.fail "expected devirt stats"
+  Alcotest.check triple "dformat rle:SM+minv" (10, 20, 2) (rle_triple reports);
+  Alcotest.(check int) "dformat minv unresolved (first leg)" 6
+    (Opt.Pass_manager.first_stat "devirt" "unresolved" reports)
 
 (* The seed pipeline spliced a second RLE harvest into the first run's
    mutable record, so any aggregation that walked both saw the second leg
@@ -1107,10 +1120,7 @@ let test_reports_no_double_counting () =
   Alcotest.(check int) "aggregation is stable" aggregate
     (Opt.Pass_manager.sum_stat "rle" "hoisted" reports
     + Opt.Pass_manager.sum_stat "rle" "eliminated" reports
-    + Opt.Pass_manager.sum_stat "rle" "shortened" reports);
-  let _, _, _, r, _ = Opt.Pipeline.stats_of_reports reports in
-  let h, e, s = rle_triple r in
-  Alcotest.(check int) "legacy record matches report sum" per_report (h + e + s)
+    + Opt.Pass_manager.sum_stat "rle" "shortened" reports)
 
 let test_passmgr_cache_hit_rate () =
   let w = Workloads.Suite.find "m3cg" in

@@ -18,6 +18,23 @@ let count = 60
 
 let output program = (Sim.Interp.run program).Sim.Interp.output
 
+(* Passes run the way every front end runs them: through the pass manager
+   over a fresh context. *)
+let run_passes ?(kind = Opt.Pipeline.Osm_field_type_refs) program passes =
+  ignore
+    (Opt.Pass_manager.run (Opt.Pass.create ~oracle_kind:kind ()) program
+       (List.map (fun p -> Opt.Pass_manager.Run p) passes))
+
+(* The guarded pipeline (IR validated after every pass) with a claims
+   ledger and, optionally, a fault-injected oracle; its failures. *)
+let run_guarded ~claims ?fault program config =
+  let ctx = Opt.Pipeline.context_of_config config in
+  ctx.Opt.Pass.claims <- Some claims;
+  ctx.Opt.Pass.fault <- fault;
+  Opt.Pass_manager.failures
+    (Opt.Pass_manager.run_guarded ~verify:true ctx program
+       (Opt.Pipeline.schedule_of_config config))
+
 let preserves_output transform seed =
   let reference = output (lower seed) in
   let program = lower seed in
@@ -26,32 +43,34 @@ let preserves_output transform seed =
 
 let prop_rle_preserves kind name =
   QCheck.Test.make ~name ~count Gen_prog.arbitrary
-    (preserves_output (fun program ->
-         let a = Tbaa.Analysis.analyze program in
-         ignore (Opt.Rle.run program (Opt.Pipeline.select a kind))))
+    (preserves_output (fun program -> run_passes ~kind program [ Opt.Rle.pass ]))
 
 let prop_full_pipeline_preserves =
   QCheck.Test.make ~name:"pipeline (devirt+inline+RLE+local CSE) preserves output"
     ~count Gen_prog.arbitrary
     (preserves_output (fun program ->
+         let config =
+           { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
+             world = Tbaa.World.Closed;
+             passes =
+               { Opt.Pass_manager.Config.devirt_inline = true; licm = true;
+                 pre = true; slf = true; rle = true; copyprop = true;
+                 dse = true; local_cse = true };
+             jobs = 1 }
+         in
          ignore
-           (Opt.Pipeline.run program
-              { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-                world = Tbaa.World.Closed;
-                passes =
-                  { Opt.Pass_manager.Config.devirt_inline = true; licm = true;
-                    pre = true; slf = true; rle = true; copyprop = true;
-                    dse = true; local_cse = false };
-                jobs = 1 });
-         ignore (Opt.Local_cse.run program)))
+           (Opt.Pass_manager.run
+              (Opt.Pipeline.context_of_config config)
+              program
+              (Opt.Pipeline.schedule_of_config config))))
 
 let prop_dce_preserves =
   QCheck.Test.make ~name:"DCE preserves output" ~count Gen_prog.arbitrary
-    (preserves_output (fun program -> ignore (Opt.Dce.run program)))
+    (preserves_output (fun program -> run_passes program [ Opt.Dce.pass ]))
 
 let prop_local_cse_preserves =
   QCheck.Test.make ~name:"local CSE preserves output" ~count Gen_prog.arbitrary
-    (preserves_output (fun program -> ignore (Opt.Local_cse.run program)))
+    (preserves_output (fun program -> run_passes program [ Opt.Local_cse.pass ]))
 
 (* --- oracle cache transparency ------------------------------------------ *)
 
@@ -63,11 +82,11 @@ let prop_oracle_cache_transparent =
   QCheck.Test.make ~name:"Oracle_cache.wrap answers like the raw oracle"
     ~count Gen_prog.arbitrary (fun seed ->
       let program = lower seed in
-      let a = Tbaa.Analysis.analyze program in
+      let a = Tbaa.Engine.create program in
       let refs =
         List.map
           (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
-          a.Tbaa.Analysis.facts.Tbaa.Facts.memrefs
+          (Tbaa.Engine.facts a).Tbaa.Facts.memrefs
       in
       List.for_all
         (fun raw ->
@@ -90,7 +109,7 @@ let prop_oracle_cache_transparent =
             refs
           && Tbaa.Oracle_cache.misses counters
              <= Tbaa.Oracle_cache.queries counters)
-        (Tbaa.Analysis.oracles a))
+        (Tbaa.Engine.oracles a))
 
 (* The counters must account for every query exactly once: over an
    arbitrary interleaved sequence of may_alias / class_kills /
@@ -103,11 +122,11 @@ let prop_oracle_cache_counters =
     QCheck.(pair Gen_prog.arbitrary (small_list (triple small_nat small_nat (int_range 0 2))))
     (fun (seed, picks) ->
       let program = lower seed in
-      let a = Tbaa.Analysis.analyze program in
+      let a = Tbaa.Engine.create program in
       let refs =
         List.map
           (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
-          a.Tbaa.Analysis.facts.Tbaa.Facts.memrefs
+          (Tbaa.Engine.facts a).Tbaa.Facts.memrefs
       in
       let n = List.length refs in
       n = 0
@@ -139,7 +158,7 @@ let prop_oracle_cache_counters =
              agreed
              && Tbaa.Oracle_cache.hits counters + Tbaa.Oracle_cache.misses counters
                 = Tbaa.Oracle_cache.queries counters)
-           (Tbaa.Analysis.oracles a))
+           (Tbaa.Engine.oracles a))
 
 (* --- precision lattice --------------------------------------------------- *)
 
@@ -147,15 +166,15 @@ let prop_precision_lattice =
   QCheck.Test.make ~name:"SMFieldTypeRefs ⊑ FieldTypeDecl ⊑ TypeDecl" ~count
     Gen_prog.arbitrary (fun seed ->
       let program = lower seed in
-      let a = Tbaa.Analysis.analyze program in
+      let a = Tbaa.Engine.create program in
       let refs =
         List.map
           (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
-          a.Tbaa.Analysis.facts.Tbaa.Facts.memrefs
+          (Tbaa.Engine.facts a).Tbaa.Facts.memrefs
       in
-      let sm = a.Tbaa.Analysis.sm_field_type_refs
-      and ftd = a.Tbaa.Analysis.field_type_decl
-      and td = a.Tbaa.Analysis.type_decl in
+      let sm = (Tbaa.Engine.oracle a Tbaa.Engine.Sm_field_type_refs)
+      and ftd = (Tbaa.Engine.oracle a Tbaa.Engine.Field_type_decl)
+      and td = (Tbaa.Engine.oracle a Tbaa.Engine.Type_decl) in
       List.for_all
         (fun x ->
           List.for_all
@@ -170,15 +189,19 @@ let prop_open_world_conservative =
   QCheck.Test.make ~name:"open world only adds aliases" ~count Gen_prog.arbitrary
     (fun seed ->
       let program = lower seed in
-      let closed = Tbaa.Analysis.analyze ~world:Tbaa.World.Closed program in
-      let opened = Tbaa.Analysis.analyze ~world:Tbaa.World.Open program in
+      let closed = Tbaa.Engine.create
+          ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world = Tbaa.World.Closed }
+          program in
+      let opened = Tbaa.Engine.create
+          ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world = Tbaa.World.Open }
+          program in
       let refs =
         List.map
           (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
-          closed.Tbaa.Analysis.facts.Tbaa.Facts.memrefs
+          (Tbaa.Engine.facts closed).Tbaa.Facts.memrefs
       in
-      let c = closed.Tbaa.Analysis.sm_field_type_refs in
-      let o = opened.Tbaa.Analysis.sm_field_type_refs in
+      let c = (Tbaa.Engine.oracle closed Tbaa.Engine.Sm_field_type_refs) in
+      let o = (Tbaa.Engine.oracle opened Tbaa.Engine.Sm_field_type_refs) in
       List.for_all
         (fun x ->
           List.for_all
@@ -196,7 +219,7 @@ let prop_soundness =
   QCheck.Test.make ~name:"dynamic overlap implies static may-alias" ~count
     Gen_prog.arbitrary (fun seed ->
       let program = lower seed in
-      let a = Tbaa.Analysis.analyze program in
+      let a = Tbaa.Engine.create program in
       let site_exprs : (int, Apath.t) Hashtbl.t = Hashtbl.create 64 in
       let touched : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
       let on_load (e : Sim.Interp.load_event) =
@@ -234,7 +257,7 @@ let prop_soundness =
                    (fun (o : Tbaa.Oracle.t) ->
                      o.Tbaa.Oracle.may_alias (Hashtbl.find site_exprs i)
                        (Hashtbl.find site_exprs j))
-                   (Tbaa.Analysis.oracles a))
+                   (Tbaa.Engine.oracles a))
             sites)
         sites)
 
@@ -249,8 +272,8 @@ let prop_audit_clean =
     ~count:40 Gen_prog.arbitrary (fun seed ->
       let program = lower seed in
       let claims = Tbaa.Claims.create ~oracle:"SMFieldTypeRefs" in
-      let result =
-        Opt.Pipeline.run_guarded ~verify:true ~claims program
+      let failures =
+        run_guarded ~claims program
           { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
             world = Tbaa.World.Closed;
             passes =
@@ -259,7 +282,6 @@ let prop_audit_clean =
                 dse = true; local_cse = false };
             jobs = 1 }
       in
-      let failures = Opt.Pass_manager.failures result.Opt.Pipeline.reports in
       let auditor = Sim.Audit.create claims in
       ignore (Sim.Interp.run ~on_access:(Sim.Audit.on_access auditor) program);
       failures = [] && Sim.Audit.check auditor = [])
@@ -281,8 +303,8 @@ let prop_fault_injection_caught =
         Opt.Pass.fault ~flip_class_kills:false ~seed:((seed * 7) + 1)
           ~rate:0.1 ()
       in
-      let result =
-        Opt.Pipeline.run_guarded ~verify:true ~claims ~fault program
+      let failures =
+        run_guarded ~claims ~fault program
           { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
             world = Tbaa.World.Closed;
             passes =
@@ -290,7 +312,7 @@ let prop_fault_injection_caught =
                 Opt.Pass_manager.Config.rle = true };
             jobs = 1 }
       in
-      ignore (Opt.Pass_manager.failures result.Opt.Pipeline.reports);
+      ignore failures;
       let auditor = Sim.Audit.create claims in
       let o =
         Sim.Interp.run ~fuel ~on_access:(Sim.Audit.on_access auditor) program

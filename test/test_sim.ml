@@ -379,6 +379,12 @@ BEGIN
 END M.
 |}
 
+(* RLE over the whole program, as the pass manager runs it. *)
+let rle program =
+  ignore
+    (Opt.Pass_manager.run (Opt.Pass.create ()) program
+       [ Opt.Pass_manager.Run Opt.Rle.pass ])
+
 let test_limit_detects_redundancy () =
   let program = lower redundant_src in
   let tracer = Sim.Limit.create () in
@@ -388,8 +394,7 @@ let test_limit_detects_redundancy () =
 
 let test_limit_rle_removes_redundancy () =
   let program = lower redundant_src in
-  let analysis = Tbaa.Analysis.analyze program in
-  let _ = Opt.Rle.run program analysis.Tbaa.Analysis.sm_field_type_refs in
+  rle program;
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
   Alcotest.(check int) "no redundancy left" 0 (Sim.Limit.total_redundant tracer)
@@ -442,9 +447,11 @@ END M.
 |}
   in
   let program = lower src in
-  let analysis = Tbaa.Analysis.analyze program in
-  let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-  let _ = Opt.Rle.run program oracle in
+  let oracle =
+    Tbaa.Engine.oracle (Tbaa.Engine.create program)
+      Tbaa.Engine.Sm_field_type_refs
+  in
+  rle program;
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
   let modref = Opt.Modref.compute program oracle in
@@ -475,9 +482,11 @@ END M.
 |}
   in
   let program = lower src in
-  let analysis = Tbaa.Analysis.analyze program in
-  let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-  let _ = Opt.Rle.run program oracle in
+  let oracle =
+    Tbaa.Engine.oracle (Tbaa.Engine.create program)
+      Tbaa.Engine.Sm_field_type_refs
+  in
+  rle program;
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
   let modref = Opt.Modref.compute program oracle in
@@ -510,9 +519,11 @@ END M.
 |}
   in
   let program = lower src in
-  let analysis = Tbaa.Analysis.analyze program in
-  let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-  let _ = Opt.Rle.run program oracle in
+  let oracle =
+    Tbaa.Engine.oracle (Tbaa.Engine.create program)
+      Tbaa.Engine.Sm_field_type_refs
+  in
+  rle program;
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
   let modref = Opt.Modref.compute program oracle in

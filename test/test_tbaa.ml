@@ -8,12 +8,15 @@ open Ir
 
 let build ?(world = Tbaa.World.Closed) src =
   let program = Lower.lower_string ~file:"test" src in
-  let analysis = Tbaa.Analysis.analyze ~world program in
+  let analysis =
+    Tbaa.Engine.create
+      ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world } program
+  in
   (program, analysis)
 
 (* Heap memory references of a procedure, in program order. *)
-let refs_of (analysis : Tbaa.Analysis.t) proc =
-  analysis.Tbaa.Analysis.facts.Tbaa.Facts.memrefs
+let refs_of (analysis : Tbaa.Engine.t) proc =
+  (Tbaa.Engine.facts analysis).Tbaa.Facts.memrefs
   |> List.filter (fun (r : Tbaa.Facts.memref) ->
          Ident.name r.Tbaa.Facts.mr_proc = proc)
   |> List.map (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
@@ -47,7 +50,7 @@ PROCEDURE P () =
 BEGIN END M.
 |})
   in
-  let td = analysis.Tbaa.Analysis.type_decl in
+  let td = (Tbaa.Engine.oracle analysis Tbaa.Engine.Type_decl) in
   let r i = nth_ref analysis "P" i in
   (* TypeDecl sees only the types: T vs S1 compatible, T vs S2 compatible,
      S1 vs S2 incompatible — but all three paths here have type T (field f/g
@@ -55,7 +58,7 @@ BEGIN END M.
   Alcotest.(check bool) "t.f ~ s.f" true (td.Tbaa.Oracle.may_alias (r 0) (r 1));
   Alcotest.(check bool) "t.f ~ u.g" true (td.Tbaa.Oracle.may_alias (r 0) (r 2));
   (* receiver types directly *)
-  let tenv = analysis.Tbaa.Analysis.facts.Tbaa.Facts.tenv in
+  let tenv = (Tbaa.Engine.facts analysis).Tbaa.Facts.tenv in
   Alcotest.(check bool) "compat is symmetric" true
     (td.Tbaa.Oracle.compat (Apath.base (r 0)).Reg.v_ty (Apath.base (r 1)).Reg.v_ty);
   ignore tenv
@@ -76,13 +79,13 @@ PROCEDURE P () =
 BEGIN END M.
 |})
   in
-  let td = analysis.Tbaa.Analysis.type_decl in
+  let td = (Tbaa.Engine.oracle analysis Tbaa.Engine.Type_decl) in
   let r i = nth_ref analysis "P" i in
   (* Both fields are INTEGER, so plain TypeDecl conservatively aliases
      them; FieldTypeDecl distinguishes the receivers. *)
   Alcotest.(check bool) "TypeDecl: a.x ~ b.y (types only)" true
     (td.Tbaa.Oracle.may_alias (r 0) (r 1));
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = (Tbaa.Engine.oracle analysis Tbaa.Engine.Field_type_decl) in
   Alcotest.(check bool) "FieldTypeDecl: a.x !~ b.y" false
     (ftd.Tbaa.Oracle.may_alias (r 0) (r 1))
 
@@ -113,14 +116,14 @@ BEGIN END M.
 
 let test_table2_case1_identical () =
   let _, analysis = build field_prog in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = (Tbaa.Engine.oracle analysis Tbaa.Engine.Field_type_decl) in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "identical APs alias" true
     (ftd.Tbaa.Oracle.may_alias (r 0) (r 0))
 
 let test_table2_case2_fields () =
   let _, analysis = build field_prog in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = (Tbaa.Engine.oracle analysis Tbaa.Engine.Field_type_decl) in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "t.f !~ t.g (different fields)" false
     (ftd.Tbaa.Oracle.may_alias (r 0) (r 1));
@@ -130,7 +133,7 @@ let test_table2_case2_fields () =
 let test_table2_case3_field_vs_deref () =
   (* Without any address-taking, a field cannot alias a dereference. *)
   let _, analysis = build field_prog in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = (Tbaa.Engine.oracle analysis Tbaa.Engine.Field_type_decl) in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "pr^.n !~ pi^ without AddressTaken" false
     (ftd.Tbaa.Oracle.may_alias (r 3) (r 4))
@@ -153,7 +156,7 @@ BEGIN END M.
 |}
   in
   let _, analysis = build src in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = (Tbaa.Engine.oracle analysis Tbaa.Engine.Field_type_decl) in
   let refs = refs_of analysis "P" in
   (* find the field ref and the deref ref *)
   let field_ref =
@@ -174,14 +177,14 @@ BEGIN END M.
 
 let test_table2_case5_field_vs_subscript () =
   let _, analysis = build field_prog in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = (Tbaa.Engine.oracle analysis Tbaa.Engine.Field_type_decl) in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "pr^.n !~ vi^[0]" false
     (ftd.Tbaa.Oracle.may_alias (r 3) (r 5))
 
 let test_table2_case6_subscripts_ignored () =
   let _, analysis = build field_prog in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = (Tbaa.Engine.oracle analysis Tbaa.Engine.Field_type_decl) in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "vi^[0] ~ vi^[1] (subscripts ignored)" true
     (ftd.Tbaa.Oracle.may_alias (r 5) (r 6))
@@ -203,7 +206,7 @@ BEGIN END M.
 |}
   in
   let _, analysis = build src in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = (Tbaa.Engine.oracle analysis Tbaa.Engine.Field_type_decl) in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "p^ ~ q^ (same target type)" true
     (ftd.Tbaa.Oracle.may_alias (r 0) (r 1));
@@ -275,8 +278,8 @@ BEGIN END M.
 |}
   in
   let _, analysis = build src in
-  let sm = analysis.Tbaa.Analysis.sm_field_type_refs in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let sm = (Tbaa.Engine.oracle analysis Tbaa.Engine.Sm_field_type_refs) in
+  let ftd = (Tbaa.Engine.oracle analysis Tbaa.Engine.Field_type_decl) in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "FieldTypeDecl: t.f ~ s.f" true
     (ftd.Tbaa.Oracle.may_alias (r 0) (r 1));
@@ -326,10 +329,10 @@ BEGIN END M.
   let _, opened = build ~world:Tbaa.World.Open src in
   let r a i = nth_ref a "P" i in
   Alcotest.(check bool) "closed: no alias (address never taken)" false
-    (closed.Tbaa.Analysis.field_type_decl.Tbaa.Oracle.may_alias (r closed 0)
+    ((Tbaa.Engine.oracle closed Tbaa.Engine.Field_type_decl).Tbaa.Oracle.may_alias (r closed 0)
        (r closed 1));
   Alcotest.(check bool) "open: alias (formal of identical type exists)" true
-    (opened.Tbaa.Analysis.field_type_decl.Tbaa.Oracle.may_alias (r opened 0)
+    ((Tbaa.Engine.oracle opened Tbaa.Engine.Field_type_decl).Tbaa.Oracle.may_alias (r opened 0)
        (r opened 1))
 
 let test_open_world_merges_unbranded () =
@@ -349,7 +352,7 @@ BEGIN END M.
 |}
   in
   let _, opened = build ~world:Tbaa.World.Open src in
-  let sm = opened.Tbaa.Analysis.sm_field_type_refs in
+  let sm = (Tbaa.Engine.oracle opened Tbaa.Engine.Sm_field_type_refs) in
   let r i = nth_ref opened "P" i in
   (* Unavailable code can construct S1 (structural typing) and assign it to
      a T, so the merge is forced and the independence proof is lost. *)
@@ -376,7 +379,7 @@ BEGIN END M.
 |}
   in
   let _, opened = build ~world:Tbaa.World.Open src in
-  let sm = opened.Tbaa.Analysis.sm_field_type_refs in
+  let sm = (Tbaa.Engine.oracle opened Tbaa.Engine.Sm_field_type_refs) in
   let r i = nth_ref opened "P" i in
   Alcotest.(check bool) "branded types stay unmerged in the open world" false
     (sm.Tbaa.Oracle.may_alias (r 0) (r 1))
@@ -405,9 +408,9 @@ BEGIN END M.
 
 let test_precision_ordering () =
   let _, analysis = build precision_src in
-  let td = analysis.Tbaa.Analysis.type_decl in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
-  let sm = analysis.Tbaa.Analysis.sm_field_type_refs in
+  let td = (Tbaa.Engine.oracle analysis Tbaa.Engine.Type_decl) in
+  let ftd = (Tbaa.Engine.oracle analysis Tbaa.Engine.Field_type_decl) in
+  let sm = (Tbaa.Engine.oracle analysis Tbaa.Engine.Sm_field_type_refs) in
   let refs = refs_of analysis "P" in
   List.iteri
     (fun i a ->
@@ -424,11 +427,11 @@ let test_precision_ordering () =
 
 let test_alias_pairs_ordering () =
   let _, analysis = build precision_src in
-  let facts = analysis.Tbaa.Analysis.facts in
+  let facts = (Tbaa.Engine.facts analysis) in
   let c o = Tbaa.Alias_pairs.count o facts in
-  let td = c analysis.Tbaa.Analysis.type_decl in
-  let ftd = c analysis.Tbaa.Analysis.field_type_decl in
-  let sm = c analysis.Tbaa.Analysis.sm_field_type_refs in
+  let td = c (Tbaa.Engine.oracle analysis Tbaa.Engine.Type_decl) in
+  let ftd = c (Tbaa.Engine.oracle analysis Tbaa.Engine.Field_type_decl) in
+  let sm = c (Tbaa.Engine.oracle analysis Tbaa.Engine.Sm_field_type_refs) in
   Alcotest.(check bool) "refs equal across analyses" true
     (td.Tbaa.Alias_pairs.references = ftd.Tbaa.Alias_pairs.references
     && ftd.Tbaa.Alias_pairs.references = sm.Tbaa.Alias_pairs.references);
@@ -556,7 +559,7 @@ BEGIN END M.
 
 let test_subtypes_excludes_nil () =
   let _, analysis = build "MODULE M; TYPE PI = REF INTEGER; VAR p: PI; BEGIN END M." in
-  let tenv = analysis.Tbaa.Analysis.facts.Tbaa.Facts.tenv in
+  let tenv = (Tbaa.Engine.facts analysis).Tbaa.Facts.tenv in
   List.iter
     (fun t ->
       if List.mem Types.tid_null (Types.subtypes tenv t) then

@@ -43,6 +43,13 @@ let test_outputs_deterministic () =
         b.Sim.Interp.output)
     dynamic
 
+(* Passes run the way every front end runs them: through the pass manager
+   over a fresh context. *)
+let run_passes ?(kind = Opt.Pipeline.Osm_field_type_refs) program passes =
+  ignore
+    (Opt.Pass_manager.run (Opt.Pass.create ~oracle_kind:kind ()) program
+       (List.map (fun p -> Opt.Pass_manager.Run p) passes))
+
 let test_optimizer_preserves_every_workload () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
@@ -50,9 +57,7 @@ let test_optimizer_preserves_every_workload () =
       List.iter
         (fun kind ->
           let program = Workloads.Workload.lower w in
-          let a = Tbaa.Analysis.analyze program in
-          ignore (Opt.Rle.run program (Opt.Pipeline.select a kind));
-          ignore (Opt.Local_cse.run program);
+          run_passes ~kind program [ Opt.Rle.pass; Opt.Local_cse.pass ];
           let o = Sim.Interp.run program in
           Alcotest.(check string)
             (Printf.sprintf "%s under %s" w.Workloads.Workload.name
@@ -67,16 +72,20 @@ let test_minv_inlining_preserves () =
     (fun (w : Workloads.Workload.t) ->
       let reference = Sim.Interp.run (Workloads.Workload.lower w) in
       let program = Workloads.Workload.lower w in
+      let config =
+        { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
+          world = Tbaa.World.Closed;
+          passes =
+            { Opt.Pass_manager.Config.devirt_inline = true; licm = true;
+              pre = true; slf = true; rle = true; copyprop = true;
+              dse = true; local_cse = true };
+          jobs = 1 }
+      in
       ignore
-        (Opt.Pipeline.run program
-           { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-             world = Tbaa.World.Closed;
-             passes =
-               { Opt.Pass_manager.Config.devirt_inline = true; licm = true;
-                 pre = true; slf = true; rle = true; copyprop = true;
-                 dse = true; local_cse = false };
-             jobs = 1 });
-      ignore (Opt.Local_cse.run program);
+        (Opt.Pass_manager.run
+           (Opt.Pipeline.context_of_config config)
+           program
+           (Opt.Pipeline.schedule_of_config config));
       let o = Sim.Interp.run program in
       Alcotest.(check string) w.Workloads.Workload.name reference.Sim.Interp.output
         o.Sim.Interp.output)
@@ -90,8 +99,7 @@ let test_rle_reduces_heap_loads () =
     (fun (w : Workloads.Workload.t) ->
       let base = Sim.Interp.run (Workloads.Workload.lower w) in
       let program = Workloads.Workload.lower w in
-      let a = Tbaa.Analysis.analyze program in
-      ignore (Opt.Rle.run program a.Tbaa.Analysis.sm_field_type_refs);
+      run_passes program [ Opt.Rle.pass ];
       let opt = Sim.Interp.run program in
       let b = base.Sim.Interp.counters.Sim.Interp.heap_loads in
       let o = opt.Sim.Interp.counters.Sim.Interp.heap_loads in
@@ -119,9 +127,11 @@ let test_ktree_dope_redundancy () =
      (the paper's Encapsulation finding). *)
   let w = Workloads.Suite.find "ktree" in
   let program = Workloads.Workload.lower w in
-  let a = Tbaa.Analysis.analyze program in
-  let oracle = a.Tbaa.Analysis.sm_field_type_refs in
-  ignore (Opt.Rle.run program oracle);
+  let oracle =
+    Tbaa.Engine.oracle (Tbaa.Engine.create program)
+      Tbaa.Engine.Sm_field_type_refs
+  in
+  run_passes program [ Opt.Rle.pass ];
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
   let modref = Opt.Modref.compute program oracle in
