@@ -60,34 +60,28 @@ end)
 let intern_tbl : int Itbl.t = Itbl.create 256
 let next_id = ref 0
 
-(* Same guard discipline as [Ir.Apath]: the per-procedure pass engine's
-   parallel region may intern new classes (the memoizing oracle cache keys
-   class_kills rows by [id]) from several domains, so it flips
-   [concurrent] on; sequential runs pay only an atomic load. *)
-let concurrent = Atomic.make false
-let set_concurrent b = Atomic.set concurrent b
-let intern_mutex = Mutex.create ()
+(* Locked like [Ir.Apath]: any domain may intern (the per-procedure pass
+   engine's memoizing oracle caches key class_kills rows by [id]). *)
+let lock = Mutex.create ()
+
+let id_locked a =
+  match Itbl.find_opt intern_tbl a with
+  | Some i -> i
+  | None ->
+    let i = !next_id in
+    incr next_id;
+    Itbl.add intern_tbl a i;
+    i
 
 let id a =
-  let intern () =
-    match Itbl.find_opt intern_tbl a with
-    | Some i -> i
-    | None ->
-      let i = !next_id in
-      incr next_id;
-      Itbl.add intern_tbl a i;
-      i
-  in
-  if Atomic.get concurrent then (
-    Mutex.lock intern_mutex;
-    match intern () with
-    | i ->
-      Mutex.unlock intern_mutex;
-      i
-    | exception e ->
-      Mutex.unlock intern_mutex;
-      raise e)
-  else intern ()
+  Mutex.lock lock;
+  match id_locked a with
+  | i ->
+    Mutex.unlock lock;
+    i
+  | exception e ->
+    Mutex.unlock lock;
+    raise e
 
 let interned () = !next_id
 

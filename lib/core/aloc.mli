@@ -25,14 +25,11 @@ val hash : t -> int
 
 val id : t -> int
 (** Dense intern id (process-wide): [id a = id b] iff [equal a b]. Memo
-    tables key on this int instead of hashing the class structurally. *)
+    tables key on this int instead of hashing the class structurally.
+    Safe to call from any domain: one lock guards the intern table. *)
 
 val interned : unit -> int
 (** Number of distinct classes interned so far. *)
-
-val set_concurrent : bool -> unit
-(** Enter/leave concurrent-interning mode: while set, {!id} serializes
-    intern-table access under a mutex (see {!Ir.Apath.set_concurrent}). *)
 
 val pp : Types.env -> Format.formatter -> t -> unit
 

@@ -79,29 +79,19 @@ let table : t Ktbl.t = Ktbl.create 4096
 let next_id = ref 0
 let interned () = !next_id
 
-(* The intern table is process-global and, in sequential runs, must cost
-   nothing extra. The per-procedure pass engine can intern *new* paths
-   (e.g. the root path of a global variable first touched by a kill test)
-   from several domains at once, so it flips [concurrent] on around its
-   parallel region; while the flag is set every table access runs under
-   one mutex. Readers of already-interned paths never touch the table —
-   [id]/[hash]/[prefixes] are field reads — so only [of_var]/[extend]
-   need the guard. *)
-let concurrent = Atomic.make false
-let set_concurrent b = Atomic.set concurrent b
-let intern_mutex = Mutex.create ()
+(* The intern table is process-global, and any domain may intern: the
+   per-procedure pass engine and the daemon's workers lower, analyze and
+   rewrite on several domains at once. One lock guards the table and the
+   id counter, taken by hand (not with [Mutex.protect]) so an intern
+   allocates no closure. Readers of already-interned paths never touch
+   the table — [id]/[hash]/[prefixes] are field reads. *)
+let lock = Mutex.create ()
 
-let guarded f =
-  if Atomic.get concurrent then (
-    Mutex.lock intern_mutex;
-    match f () with
-    | r ->
-      Mutex.unlock intern_mutex;
-      r
-    | exception e ->
-      Mutex.unlock intern_mutex;
-      raise e)
-  else f ()
+(* Under [lock]: record a node built with id [!next_id]. *)
+let add key t =
+  incr next_id;
+  Ktbl.add table key t;
+  t
 
 let sel_hash = function
   | Sfield (f, _) -> 3 + (17 * Ident.hash f)
@@ -116,17 +106,21 @@ let of_var base =
       ( base.Reg.v_id, Ident.hash base.Reg.v_name, base.Reg.v_ty,
         kind_code base.Reg.v_kind )
   in
-  guarded (fun () ->
-      match Ktbl.find_opt table key with
-      | Some t -> t
-      | None ->
-        let t =
-          { id = !next_id; h = Reg.var_hash base; len = 0;
-            res_ty = base.Reg.v_ty; base; node = Root }
-        in
-        incr next_id;
-        Ktbl.add table key t;
-        t)
+  Mutex.lock lock;
+  match
+    match Ktbl.find_opt table key with
+    | Some t -> t
+    | None ->
+      add key
+        { id = !next_id; h = Reg.var_hash base; len = 0;
+          res_ty = base.Reg.v_ty; base; node = Root }
+  with
+  | t ->
+    Mutex.unlock lock;
+    t
+  | exception e ->
+    Mutex.unlock lock;
+    raise e
 
 let extend t sel =
   let key =
@@ -135,17 +129,21 @@ let extend t sel =
     | Sderef ty -> Kderef (t.id, ty)
     | Sindex (a, ty) -> Kindex (t.id, akey a, ty)
   in
-  guarded (fun () ->
-      match Ktbl.find_opt table key with
-      | Some u -> u
-      | None ->
-        let u =
-          { id = !next_id; h = (t.h * 31) + sel_hash sel; len = t.len + 1;
-            res_ty = selector_result sel; base = t.base; node = Snoc (t, sel) }
-        in
-        incr next_id;
-        Ktbl.add table key u;
-        u)
+  Mutex.lock lock;
+  match
+    match Ktbl.find_opt table key with
+    | Some u -> u
+    | None ->
+      add key
+        { id = !next_id; h = (t.h * 31) + sel_hash sel; len = t.len + 1;
+          res_ty = selector_result sel; base = t.base; node = Snoc (t, sel) }
+  with
+  | u ->
+    Mutex.unlock lock;
+    u
+  | exception e ->
+    Mutex.unlock lock;
+    raise e
 
 let make base sels = List.fold_left extend (of_var base) sels
 let base t = t.base

@@ -27,7 +27,8 @@ val of_var : Reg.var -> t
 
 val extend : t -> selector -> t
 (** O(1): allocates (at most) one interned node sharing the receiver as its
-    prefix. *)
+    prefix. Like {!of_var}, safe to call from any domain: one lock guards
+    the intern table. *)
 
 val make : Reg.var -> selector list -> t
 (** [make base sels] is [extend]-folding [sels] over [of_var base]. *)
@@ -100,13 +101,6 @@ val id : t -> int
 
 val interned : unit -> int
 (** Number of distinct paths interned so far (process-wide). *)
-
-val set_concurrent : bool -> unit
-(** Enter/leave concurrent-interning mode. While set, {!of_var} and
-    {!extend} serialize intern-table access under a mutex so parallel
-    clients (the per-procedure pass engine) may intern new paths from
-    several domains; while clear they cost nothing extra. Reads of
-    already-interned paths are unaffected either way. *)
 
 val vars_used : t -> Reg.var list
 (** The base variable and every variable appearing in an index position —

@@ -628,6 +628,7 @@ let parse_module_state st : Ast.module_ =
     Diag.errorf_at (current_loc st) "module ends with '%s', expected '%s'"
       (Ident.name end_name) (Ident.name name);
   expect st Token.DOT;
+  if not (is st Token.EOF) then error st "trailing tokens";
   { Ast.mod_name = name; mod_decls = ds; mod_body = body; mod_loc = loc }
 
 let make_state ~file src =

@@ -5,8 +5,10 @@
     [T = Super OBJECT ... END]. *)
 
 val parse_module : file:string -> string -> Ast.module_
-(** Parse a full compilation unit. Raises {!Support.Diag.Compile_error} on
-    syntax errors, with the offending location. *)
+(** Parse a full compilation unit, which must end at [END Name.]. Raises
+    {!Support.Diag.Compile_error} on syntax errors (including trailing
+    tokens), with the offending location. *)
 
 val parse_expr_string : string -> Ast.expr
-(** Parse a single expression (testing convenience). *)
+(** Parse a single expression and nothing after it (testing
+    convenience). *)

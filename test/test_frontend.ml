@@ -853,7 +853,7 @@ let expected_malformed =
     "until: bad:1:32: error: expected 'UNTIL' (found 'END')";
     "with: bad:1:24: error: expected '=' (found ':=')";
     "method: bad:1:40: error: expected ':' (found 'INTEGER')";
-    "trailing: parsed";
+    "trailing: bad:1:24: error: trailing tokens (found 'x')";
     "expr a b: <expr>:1:3: error: trailing tokens (found 'b')";
     "expr a < b = c: <expr>:1:7: error: trailing tokens (found '=')";
     "expr (a: <expr>:1:3: error: expected ')' (found '<eof>')";

@@ -372,6 +372,65 @@ BEGIN END M.
   Alcotest.(check bool) "leaf is not recursive" false
     (Callgraph.is_recursive program (Ident.intern "Leaf"))
 
+(* Two domains lower different generated programs at once, round after
+   round, straight into the shared [Apath]/[Aloc] intern tables (as the
+   daemon's workers and the parallel pass engine do). Every node must keep
+   a unique id, and re-interning its key must return the same node. *)
+let test_intern_two_domains () =
+  let rounds = 6 in
+  let ready = Atomic.make 0 in
+  let worker first () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    List.concat_map
+      (fun r ->
+        let program =
+          Lower.lower_string ~file:"gen" (Gen_prog.generate (first + (2 * r)))
+        in
+        (* Re-rooting every path at variables no program has yet makes
+           each intern a miss, so both domains add to the tables at once
+           (the same keys: the offsets do not depend on the domain). *)
+        let reroot k p =
+          let b = Apath.base p in
+          Apath.make
+            { b with Reg.v_id = b.Reg.v_id + (100_000 * ((r * 16) + k + 1)) }
+            (Apath.sels p)
+        in
+        List.concat_map
+          (fun (m : Tbaa.Facts.memref) ->
+            List.concat_map
+              (fun p ->
+                List.map
+                  (fun p ->
+                    let c = Tbaa.Kills.store_class p in
+                    (p, c, Tbaa.Aloc.id c))
+                  (p :: List.init 16 (fun k -> reroot k p)))
+              (Apath.prefixes m.Tbaa.Facts.mr_path))
+          (Tbaa.Facts.collect program).Tbaa.Facts.memrefs)
+      (List.init rounds Fun.id)
+  in
+  let a = Domain.spawn (worker 1) and b = Domain.spawn (worker 2) in
+  let seen = List.rev_append (Domain.join a) (Domain.join b) in
+  Alcotest.(check bool) "both domains interned paths" true (seen <> []);
+  let paths = Hashtbl.create 1024 and classes = Hashtbl.create 256 in
+  List.iter
+    (fun (p, c, cid) ->
+      (match Hashtbl.find_opt paths (Apath.id p) with
+      | Some q ->
+        Alcotest.(check bool) "one path per id" true (p == q)
+      | None -> Hashtbl.add paths (Apath.id p) p);
+      Alcotest.(check bool) "re-interned path is the same node" true
+        (Apath.make (Apath.base p) (Apath.sels p) == p);
+      (match Hashtbl.find_opt classes cid with
+      | Some d ->
+        Alcotest.(check bool) "one class per id" true (Tbaa.Aloc.equal c d)
+      | None -> Hashtbl.add classes cid c);
+      Alcotest.(check int) "re-interned class keeps its id" cid
+        (Tbaa.Aloc.id c))
+    seen
+
 let () =
   Alcotest.run "ir"
     [ ( "apath",
@@ -379,7 +438,9 @@ let () =
           Alcotest.test_case "index equality" `Quick test_apath_equality_on_indices;
           Alcotest.test_case "byref formals" `Quick test_byref_formal_is_deref;
           Alcotest.test_case "WITH takes address" `Quick test_with_alias_takes_address;
-          Alcotest.test_case "short circuit" `Quick test_short_circuit_blocks ] );
+          Alcotest.test_case "short circuit" `Quick test_short_circuit_blocks;
+          Alcotest.test_case "two domains intern" `Quick test_intern_two_domains
+        ] );
       ( "dom/loops",
         [ Alcotest.test_case "diamond dominators" `Quick test_dominators_diamond;
           Alcotest.test_case "while loop" `Quick test_loops_in_while;
