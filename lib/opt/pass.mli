@@ -166,10 +166,10 @@ type proc_context = {
           sequentially or across domains (ids are laced
           [start + i + k*nprocs], so procedures never contend) *)
 }
-(** What a per-procedure pass may touch while transforming one procedure.
-    Replaces the whole-program trio (context-cached oracle, shared claims
-    ledger, [Cfg.fresh_var] on the shared program counter), all of which
-    are unsafe or non-deterministic across domains. *)
+(** What a per-procedure pass may touch while transforming one procedure:
+    its own oracle cache, claims ledger and allocator, since the context's
+    cached oracle, a shared ledger and [Cfg.fresh_var] on the shared
+    program counter are unsafe or non-deterministic across domains. *)
 
 type scope =
   | Whole_program of (context -> Ir.Cfg.program -> outcome)

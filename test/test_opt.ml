@@ -8,10 +8,6 @@ let lower src = Lower.lower_string ~file:"test" src
 
 let proc_named program name = Cfg.find_proc program (Ident.intern name)
 
-let analyze ?(world = Tbaa.World.Closed) program =
-  Tbaa.Engine.create
-    ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world } program
-
 let run_out program = (Sim.Interp.run program).Sim.Interp.output
 
 let sm = Opt.Pipeline.Osm_field_type_refs
@@ -55,7 +51,7 @@ PROCEDURE Pure (x: INTEGER): INTEGER = BEGIN RETURN x + 1; END Pure;
 BEGIN END M.
 |}
   in
-  let analysis = analyze program in
+  let analysis = Tbaa.Engine.create program in
   let oracle = Tbaa.Engine.oracle analysis Tbaa.Engine.Sm_field_type_refs in
   let modref = Opt.Modref.compute program oracle in
   let mods name =
@@ -128,7 +124,7 @@ END M.
 let test_rle_hoists_invariant_prefix () =
   let program, stats, before, after = rle_with figure6_src sm in
   Alcotest.(check bool) "hoisted at least one prefix" true
-    ((stat stats "hoisted") >= 1);
+    (stat stats "hoisted" >= 1);
   Alcotest.(check string) "behaviour preserved" before after;
   (* The load of a.b must now be outside the loop: run and compare heap
      loads with the unoptimized program. *)
@@ -163,7 +159,7 @@ END M.
 
 let test_rle_cse_prefix () =
   let _, stats, before, after = rle_with figure7_src sm in
-  Alcotest.(check bool) "prefix reused" true ((stat stats "shortened") >= 1);
+  Alcotest.(check bool) "prefix reused" true (stat stats "shortened" >= 1);
   Alcotest.(check string) "behaviour preserved" before after
 
 let test_rle_cse_full () =
@@ -189,7 +185,7 @@ END M.
   in
   let _, stats, before, after = rle_with src sm in
   Alcotest.(check bool) "eliminated the second load" true
-    ((stat stats "eliminated") >= 1);
+    (stat stats "eliminated" >= 1);
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 42" "42" after
 
@@ -212,7 +208,7 @@ END M.
 |}
   in
   let _, stats, _, after = rle_with src sm in
-  Alcotest.(check bool) "load forwarded" true ((stat stats "eliminated") >= 1);
+  Alcotest.(check bool) "load forwarded" true (stat stats "eliminated" >= 1);
   Alcotest.(check string) "output is 7" "7" after
 
 let test_rle_killed_by_may_alias_store () =
@@ -272,7 +268,7 @@ END M.
   in
   let _, stats, before, after = rle_with src sm in
   Alcotest.(check bool) "eliminated across independent store" true
-    ((stat stats "eliminated") >= 1);
+    (stat stats "eliminated" >= 1);
   Alcotest.(check string) "behaviour preserved" before after
 
 let test_rle_precision_ordering_on_counts () =
@@ -338,7 +334,7 @@ let test_devirt_resolves_monomorphic () =
      receiver can only be an A and the call resolves to ImplA. *)
   let program = lower devirt_src in
   let before = run_out program in
-  let analysis = analyze program in
+  let analysis = Tbaa.Engine.create program in
   let stats =
     Opt.Devirt.run program ~type_refs:(Tbaa.Engine.type_refs_table analysis)
   in
@@ -364,7 +360,7 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  let analysis = analyze program in
+  let analysis = Tbaa.Engine.create program in
   let stats =
     Opt.Devirt.run program ~type_refs:(Tbaa.Engine.type_refs_table analysis)
   in
@@ -477,9 +473,9 @@ END M.
     | _ -> assert false
   in
   Alcotest.(check bool) "PRE inserted on the else edge" true
-    ((stat pstats "inserted") >= 1);
+    (stat pstats "inserted" >= 1);
   Alcotest.(check bool) "the conditional load is now eliminated" true
-    ((stat rstats "eliminated") >= 1);
+    (stat rstats "eliminated" >= 1);
   Alcotest.(check string) "behaviour preserved" before (run_out program)
 
 let test_pre_skips_unprofitable () =
@@ -547,9 +543,9 @@ END M.
     | [ _; cp; second ] -> (cp, second)
     | _ -> assert false
   in
-  Alcotest.(check bool) "copies were propagated" true ((stat cp "replaced") >= 1);
+  Alcotest.(check bool) "copies were propagated" true (stat cp "replaced" >= 1);
   Alcotest.(check bool) "second RLE pass finds the breakup redundancy" true
-    ((stat second "eliminated") + (stat second "shortened") >= 1);
+    (stat second "eliminated" + stat second "shortened" >= 1);
   Alcotest.(check string) "behaviour preserved" before (run_out program)
 
 let test_copyprop_respects_redefinition () =
@@ -602,7 +598,7 @@ END M.
   let before = run_out program in
   let stats = run_pass program sm Opt.Dce.pass in
   (* a's load, b's and c's ALU ops, plus the lowering temporaries. *)
-  Alcotest.(check bool) "removed the dead chain" true ((stat stats "removed") >= 3);
+  Alcotest.(check bool) "removed the dead chain" true (stat stats "removed" >= 3);
   Alcotest.(check string) "behaviour preserved" before (run_out program);
   let p = proc_named program "P" in
   let loads = ref 0 in
